@@ -155,7 +155,8 @@ class ChunkInstanceEngine {
   // Query-only synchronisation: brings the engine's contention costs in
   // line with `state` WITHOUT building a ConflInstance, so point queries
   // stay O(log row) instead of an n×n materialisation per caller
-  // (core::OnlineFairCaching::access_cost / fetch, sim::ServingEngine).
+  // (core::Router, behind OnlineFairCaching::fetch / access_cost and
+  // sim::ServingEngine's external-policy path).
   // kIncremental / kSparse delta-patch the live updater (the first call
   // pays the full build); the kRebuild fallback keeps a private dense
   // matrix that is rebuilt only when the stored counts actually changed.

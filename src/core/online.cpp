@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "confl/confl.h"
-#include "graph/shortest_paths.h"
 
 namespace faircache::core {
 
@@ -30,6 +29,9 @@ util::Result<OnlineStepResult> OnlineFairCaching::try_insert_chunk(
         "chunk id is already published; retire it before re-inserting");
   }
 
+  // A build may re-pin the engine's trees (guard recovery), so memoised
+  // routes are dropped even when the insert places nothing.
+  routes_.invalidate();
   util::Result<confl::ConflInstance> built = engine_.build(state_, chunk);
   if (!built.ok()) return built.status();
   confl::ConflInstance instance = std::move(built).value();
@@ -68,13 +70,11 @@ util::Result<OnlineStepResult> OnlineFairCaching::try_insert_chunk(
       state_.remove(v, oldest->second);
       age_list.erase(oldest);
       ++total_evictions_;
-      queries_dirty_ = true;
       step.evicted_from.push_back(v);
     }
     if (state_.can_cache(v, chunk)) {
       state_.add(v, chunk);
       age_list.emplace_back(clock_++, chunk);
-      queries_dirty_ = true;
       step.cache_nodes.push_back(v);
     }
   }
@@ -92,10 +92,10 @@ OnlineStepResult OnlineFairCaching::insert_chunk(metrics::ChunkId chunk) {
 }
 
 void OnlineFairCaching::retire_chunk(metrics::ChunkId chunk) {
-  for (NodeId v = 0; v < state_.num_nodes(); ++v) {
-    if (v == state_.producer() || !state_.holds(v, chunk)) continue;
+  const std::vector<NodeId> holders = state_.holders(chunk);
+  if (!holders.empty()) routes_.invalidate();
+  for (NodeId v : holders) {
     state_.remove(v, chunk);
-    queries_dirty_ = true;
     auto& age_list = ages_[static_cast<std::size_t>(v)];
     age_list.erase(std::remove_if(age_list.begin(), age_list.end(),
                                   [&](const auto& entry) {
@@ -123,7 +123,7 @@ util::Status OnlineFairCaching::adopt_placement(
     return status;
   }
   state_ = state;
-  queries_dirty_ = true;
+  routes_.invalidate();
   for (NodeId v = 0; v < state_.num_nodes(); ++v) {
     auto& age_list = ages_[static_cast<std::size_t>(v)];
     age_list.clear();
@@ -135,55 +135,23 @@ util::Status OnlineFairCaching::adopt_placement(
   return util::Status();  // OK
 }
 
-util::Status OnlineFairCaching::sync_queries() {
-  if (!queries_dirty_ && engine_.query_ready()) return util::Status();
-  util::Status status = engine_.sync(state_);
-  if (status.ok()) queries_dirty_ = false;
-  return status;
-}
-
 double OnlineFairCaching::access_cost(metrics::ChunkId chunk) {
-  FAIRCACHE_CHECK(sync_queries().ok(), "engine sync failed");
-  std::vector<NodeId> sources = state_.holders(chunk);
-  sources.push_back(state_.producer());
-
   double total = 0.0;
   for (NodeId j = 0; j < state_.num_nodes(); ++j) {
-    if (j == state_.producer()) continue;
-    double best = graph::kInfCost;
-    for (NodeId i : sources) best = std::min(best, engine_.query_cost(i, j));
-    total += best;
+    if (j != state_.producer()) total += fetch(j, chunk).cost;
   }
   return total;
 }
 
 FetchDecision OnlineFairCaching::fetch(NodeId requester,
                                        metrics::ChunkId chunk) {
-  FetchDecision decision;
-  if (requester == state_.producer() || state_.holds(requester, chunk)) {
-    decision.source = requester;
-    decision.cost = 0.0;
-    decision.local = true;
-    decision.from_producer = requester == state_.producer();
-    return decision;
+  util::Result<FetchDecision> routed =
+      routes_.route(engine_, state_, requester, chunk);
+  if (!routed.ok()) {
+    util::check_failed("routes_.route(...).ok()", __FILE__, __LINE__,
+                       routed.status().message());
   }
-  FAIRCACHE_CHECK(sync_queries().ok(), "engine sync failed");
-  for (NodeId i : state_.holders(chunk)) {
-    const double c = engine_.query_cost(i, requester);
-    if (decision.source == graph::kInvalidNode || c < decision.cost) {
-      decision.source = i;
-      decision.cost = c;
-    }
-  }
-  const double producer_cost =
-      engine_.query_cost(state_.producer(), requester);
-  if (decision.source == graph::kInvalidNode ||
-      producer_cost < decision.cost) {
-    decision.source = state_.producer();
-    decision.cost = producer_cost;
-  }
-  decision.from_producer = decision.source == state_.producer();
-  return decision;
+  return routed.value();
 }
 
 util::Status OnlineFairCaching::verify_consistency() const {

@@ -13,15 +13,17 @@
 // GuardOptions integrity audits) instead of a dense O(n·m) rebuild per
 // chunk; kRebuild remains the stateless reference mode and reproduces the
 // historical per-insert placements bit-identically. Access-cost and fetch
-// queries reuse the same engine state (ChunkInstanceEngine::sync) instead
-// of materializing an n×n ContentionMatrix per call — the property that
-// makes sim::ServingEngine's request hot path O(holders) per request.
+// queries route through core::Router (core/route.h) over the same engine
+// state (ChunkInstanceEngine::sync) instead of materializing an n×n
+// ContentionMatrix per call; its route memo makes sim::ServingEngine's
+// request hot path O(1) amortised.
 
 #include <unordered_set>
 #include <vector>
 
 #include "core/approx.h"
 #include "core/problem.h"
+#include "core/route.h"
 #include "util/status.h"
 
 namespace faircache::core {
@@ -44,16 +46,6 @@ struct OnlineStepResult {
   metrics::ChunkId chunk = 0;
   std::vector<graph::NodeId> cache_nodes;   // where the chunk landed
   std::vector<graph::NodeId> evicted_from;  // nodes that evicted for it
-};
-
-// Where one fetch would be served from under the current placement: the
-// cheapest copy by path contention cost among the chunk's holders and the
-// producer (ties break toward the smallest holder id, producer last).
-struct FetchDecision {
-  graph::NodeId source = graph::kInvalidNode;
-  double cost = 0.0;          // c(source, requester); 0 for a local hit
-  bool local = false;         // requester already holds the chunk
-  bool from_producer = false;
 };
 
 class OnlineFairCaching {
@@ -84,13 +76,15 @@ class OnlineFairCaching {
   const metrics::CacheState& state() const { return state_; }
   long total_evictions() const { return total_evictions_; }
 
-  // Access contention cost of fetching `chunk` from the current caches
-  // (every live node fetches once, producer fallback included). Served
-  // from engine state — no per-call matrix build.
+  // Access contention cost of fetching `chunk` from the current caches:
+  // Σ_j of fetch(j, chunk).cost over every node j but the producer, in
+  // ascending j. Served from engine state — no per-call matrix build.
   double access_cost(metrics::ChunkId chunk);
 
-  // Cheapest source for one request under the current placement —
-  // O(holders · log row) per call, the serving hot path.
+  // Cheapest source for one request under the current placement — the
+  // shared core::Router route (tie-break documented there), O(1)
+  // amortised: the serving hot path. Throws util::CheckError for a
+  // negative chunk id.
   FetchDecision fetch(graph::NodeId requester, metrics::ChunkId chunk);
 
   // Structural self-check: state_.verify_integrity() plus the ages_ ↔
@@ -108,17 +102,16 @@ class OnlineFairCaching {
   }
 
  private:
-  // Engine state lags placement mutations; queries sync lazily.
-  util::Status sync_queries();
-
   FairCachingProblem problem_;
   OnlineConfig config_;
   metrics::CacheState state_;
   ChunkInstanceEngine engine_;
+  // Engine state lags placement mutations; every mutation invalidates the
+  // router, which re-syncs lazily on the next non-local route.
+  Router routes_;
   // Insertion age per (node, chunk) for oldest-first eviction.
   std::vector<std::vector<std::pair<long, metrics::ChunkId>>> ages_;
   std::unordered_set<metrics::ChunkId> published_;
-  bool queries_dirty_ = true;
   long clock_ = 0;
   long total_evictions_ = 0;
 };

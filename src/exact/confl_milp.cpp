@@ -37,7 +37,8 @@ lp::LpProblem build_confl_milp(const confl::ConflInstance& instance,
     if (i == root) continue;
     const double fi = instance.facility_cost[static_cast<std::size_t>(i)];
     if (fi == kInfCost) continue;
-    const lp::VarId y = p.add_binary_variable("y" + std::to_string(i));
+    const lp::VarId y =
+        p.add_binary_variable(std::string("y") + std::to_string(i));
     maps->open_var[static_cast<std::size_t>(i)] = y;
     objective.add(y, fi);
   }
@@ -57,7 +58,8 @@ lp::LpProblem build_confl_milp(const confl::ConflInstance& instance,
       if (cij == kInfCost) continue;
       if (!is_root && cij > root_cost) continue;  // dominated by the root
       const lp::VarId x = p.add_variable(
-          0.0, 1.0, "x" + std::to_string(i) + "_" + std::to_string(j));
+          0.0, 1.0,
+          std::string("x") + std::to_string(i) + "_" + std::to_string(j));
       maps->assign_var[static_cast<std::size_t>(i)]
                       [static_cast<std::size_t>(j)] = x;
       objective.add(x, client_weight(j) * cij);
@@ -69,7 +71,8 @@ lp::LpProblem build_confl_milp(const confl::ConflInstance& instance,
   maps->flow_forward.assign(static_cast<std::size_t>(g.num_edges()), -1);
   maps->flow_backward.assign(static_cast<std::size_t>(g.num_edges()), -1);
   for (EdgeId e = 0; e < g.num_edges(); ++e) {
-    const lp::VarId z = p.add_binary_variable("z" + std::to_string(e));
+    const lp::VarId z =
+        p.add_binary_variable(std::string("z") + std::to_string(e));
     maps->edge_var[static_cast<std::size_t>(e)] = z;
     objective.add(z, instance.edge_scale *
                          instance.edge_cost[static_cast<std::size_t>(e)]);

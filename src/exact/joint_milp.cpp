@@ -48,8 +48,8 @@ JointExactSolution solve_joint_exact(const core::FairCachingProblem& problem,
     if (i == root || initial.capacity(i) == 0) continue;
     for (int c = 0; c < q; ++c) {
       y[static_cast<std::size_t>(i)][static_cast<std::size_t>(c)] =
-          p.add_binary_variable("y" + std::to_string(i) + "_" +
-                                std::to_string(c));
+          p.add_binary_variable(std::string("y") + std::to_string(i) +
+                                "_" + std::to_string(c));
     }
   }
 
@@ -61,7 +61,7 @@ JointExactSolution solve_joint_exact(const core::FairCachingProblem& problem,
     lp::VarId prev = -1;
     for (int s = 0; s < cap; ++s) {
       const lp::VarId u = p.add_binary_variable(
-          "u" + std::to_string(i) + "_" + std::to_string(s));
+          std::string("u") + std::to_string(i) + "_" + std::to_string(s));
       objective.add(u, marginal_fairness(s, initial.capacity(i)));
       level_sum.add(u, 1.0);
       if (prev != -1) {

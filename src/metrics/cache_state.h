@@ -4,6 +4,9 @@
 // node stores against a fixed per-node capacity; the producer never caches.
 // This is the single source of truth that both the fairness degree cost
 // (Eq. 1) and the contention costs (Eq. 2, via the 1 + S(k) factor) read.
+// Two views are kept in step by add()/remove(): the chunks on each node and
+// the holders of each chunk (the inverse index every routing and
+// evaluation pass reads).
 
 #include <vector>
 
@@ -56,8 +59,9 @@ class CacheState {
   }
 
   // Nodes caching `chunk`, ascending node id (excludes the producer, which
-  // implicitly always has every chunk).
-  std::vector<graph::NodeId> holders(ChunkId chunk) const;
+  // implicitly always has every chunk). O(1): a view of the holder index,
+  // valid until the next add()/remove() of this state.
+  const std::vector<graph::NodeId>& holders(ChunkId chunk) const;
 
   // t_i vector: chunks stored per node. The producer's entry is always 0.
   std::vector<int> stored_counts() const;
@@ -68,20 +72,29 @@ class CacheState {
   // entry gate for mutating passes like core::PlacementRepairEngine;
   // docs/ROBUSTNESS.md): valid producer, per-node usage within capacity,
   // chunk lists sorted/unique/non-negative, nothing stored on the
-  // producer. kInvalidInput naming the first violation, OK otherwise.
-  // Every mutation through add()/remove() preserves these invariants; a
-  // failure means the state was corrupted out-of-band.
+  // producer, and — checked last — the holder index is exactly the inverse
+  // of the per-node lists. kInvalidInput naming the first violation, OK
+  // otherwise. Every mutation through add()/remove() preserves these
+  // invariants; a failure means the state was corrupted out-of-band.
   util::Status verify_integrity() const;
 
-  // Test-only fault hook (tests/integrity_test.cpp): appends `chunk` to
-  // v's list unchecked, bypassing every add() invariant.
-  void corrupt_for_testing(graph::NodeId v, ChunkId chunk) {
-    stored_[static_cast<std::size_t>(v)].push_back(chunk);
-  }
+  // Test-only fault hooks (tests/integrity_test.cpp).
+  // corrupt_for_testing appends `chunk` to v's list unchecked, bypassing
+  // every add() invariant; the holder index records the pair too (for a
+  // non-negative id), so only the per-node checks can fire.
+  void corrupt_for_testing(graph::NodeId v, ChunkId chunk);
+  // corrupt_index_for_testing lists v as a holder of `chunk` in the index
+  // only, leaving the per-node lists intact: the inverse check fires.
+  void corrupt_index_for_testing(graph::NodeId v, ChunkId chunk);
 
  private:
+  // Inserts v into holders_[chunk] in order, growing holders_ on demand
+  // (an id past its end has no holders). Precondition: chunk >= 0.
+  void index_holder(graph::NodeId v, ChunkId chunk);
+
   std::vector<int> capacity_;
   std::vector<std::vector<ChunkId>> stored_;
+  std::vector<std::vector<graph::NodeId>> holders_;
   graph::NodeId producer_ = graph::kInvalidNode;
 };
 

@@ -6,7 +6,6 @@
 
 #include "core/approx.h"
 #include "core/validate.h"
-#include "graph/shortest_paths.h"
 #include "metrics/fairness_stats.h"
 #include "util/rng.h"
 #include "util/stopwatch.h"
@@ -115,37 +114,6 @@ class DriftingDemand {
   std::optional<TraceSampler> sampler_;
 };
 
-// Cheapest-source decision against an external policy's placement,
-// mirroring OnlineFairCaching::fetch over the shared query engine.
-core::FetchDecision fetch_external(core::ChunkInstanceEngine& engine,
-                                   const metrics::CacheState& state,
-                                   const Request& request) {
-  core::FetchDecision decision;
-  if (request.node == state.producer() ||
-      state.holds(request.node, request.chunk)) {
-    decision.source = request.node;
-    decision.local = true;
-    decision.from_producer = request.node == state.producer();
-    return decision;
-  }
-  for (NodeId i : state.holders(request.chunk)) {
-    const double c = engine.query_cost(i, request.node);
-    if (decision.source == graph::kInvalidNode || c < decision.cost) {
-      decision.source = i;
-      decision.cost = c;
-    }
-  }
-  const double producer_cost =
-      engine.query_cost(state.producer(), request.node);
-  if (decision.source == graph::kInvalidNode ||
-      producer_cost < decision.cost) {
-    decision.source = state.producer();
-    decision.cost = producer_cost;
-  }
-  decision.from_producer = decision.source == state.producer();
-  return decision;
-}
-
 }  // namespace
 
 ServingEngine::ServingEngine(const core::FairCachingProblem& problem,
@@ -163,9 +131,9 @@ util::Result<ServingResult> ServingEngine::run(ServingPolicy* policy) {
   core::OnlineFairCaching online(*problem_, config_.online);
   core::ChunkInstanceEngine query_engine(*problem_,
                                          config_.online.approx.instance);
+  core::Router external_routes;
   std::vector<char> published(
       static_cast<std::size_t>(problem_->num_chunks), 0);
-  bool external_dirty = true;
 
   ServingResult result;
   result.policy = policy != nullptr ? policy->name() : "online-confl";
@@ -208,7 +176,7 @@ util::Result<ServingResult> ServingEngine::run(ServingPolicy* policy) {
     }
     if (policy != nullptr && config_.adapt_every > 0 && r > 0 &&
         r % config_.adapt_every == 0) {
-      if (policy->end_period()) external_dirty = true;
+      if (policy->end_period()) external_routes.invalidate();
     }
 
     const Request request = demand.draw(rng);
@@ -223,15 +191,11 @@ util::Result<ServingResult> ServingEngine::run(ServingPolicy* policy) {
       }
       decision = online.fetch(request.node, request.chunk);
     } else {
-      if (policy->observe(request)) external_dirty = true;
-      if (external_dirty) {
-        if (util::Status status = query_engine.sync(policy->state());
-            !status.ok()) {
-          return status;
-        }
-        external_dirty = false;
-      }
-      decision = fetch_external(query_engine, policy->state(), request);
+      if (policy->observe(request)) external_routes.invalidate();
+      util::Result<core::FetchDecision> routed = external_routes.route(
+          query_engine, policy->state(), request.node, request.chunk);
+      if (!routed.ok()) return routed.status();
+      decision = routed.value();
     }
 
     if (decision.local) {

@@ -30,11 +30,12 @@
 
 namespace faircache::sim {
 
-// Pluggable per-request placement driver. ServingEngine::run serves each
-// request against policy->state() through its own cost engine
-// (core::ChunkInstanceEngine::sync / query_cost); observe() and
-// end_period() return true when the placement changed so the engine can
-// resync lazily instead of per request.
+// Pluggable per-request placement driver. ServingEngine::run routes each
+// request against policy->state() through its own cost engine and the
+// shared core::Router (core/route.h) — the same route as the built-in
+// driver. observe() and end_period() must return true whenever the
+// placement changed: the router then resyncs the engine lazily and drops
+// its route memo, which it otherwise keeps.
 class ServingPolicy {
  public:
   virtual ~ServingPolicy() = default;

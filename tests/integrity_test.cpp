@@ -419,6 +419,34 @@ TEST(CacheStateIntegrityTest, DetectsStructuralCorruption) {
             util::StatusCode::kInvalidInput);
 }
 
+TEST(CacheStateIntegrityTest, DetectsHolderIndexDesync) {
+  CacheState clean(6, 2, /*producer=*/0);
+  clean.add(1, 0);
+  clean.add(4, 0);
+  clean.add(1, 3);
+  ASSERT_TRUE(clean.verify_integrity().ok());
+
+  // The per-node lists stay intact; only the inverse index gains a pair
+  // nobody stores — a phantom holder that routing would serve from.
+  CacheState phantom = clean;
+  phantom.corrupt_index_for_testing(2, 3);
+  const util::Status status = phantom.verify_integrity();
+  EXPECT_EQ(status.code(), util::StatusCode::kInvalidInput);
+  EXPECT_NE(status.message().find("holder index"), std::string::npos)
+      << status.message();
+
+  // A phantom entry for a chunk id nobody has ever stored is caught too.
+  CacheState fresh_id = clean;
+  fresh_id.corrupt_index_for_testing(5, 9);
+  EXPECT_EQ(fresh_id.verify_integrity().code(),
+            util::StatusCode::kInvalidInput);
+
+  // A copy carries the index along and verifies clean.
+  const CacheState copy = clean;
+  EXPECT_TRUE(copy.verify_integrity().ok());
+  EXPECT_EQ(copy.holders(0), (std::vector<graph::NodeId>{1, 4}));
+}
+
 TEST(CacheStateIntegrityTest, RepairRefusesACorruptedPlacement) {
   const Graph g = graph::make_grid(4, 4);
   const std::vector<char> alive(static_cast<std::size_t>(g.num_nodes()), 1);

@@ -219,7 +219,7 @@ TEST(ParallelForExceptionTest, ConcurrentThrowersDoNotRace) {
   for (int round = 0; round < 20; ++round) {
     EXPECT_THROW(
         util::parallel_for(
-            256, [&](std::size_t i) { throw std::runtime_error("boom"); }, 4),
+            256, [&](std::size_t) { throw std::runtime_error("boom"); }, 4),
         std::runtime_error);
     std::atomic<int> executed{0};
     util::parallel_for(64, [&](std::size_t) { executed.fetch_add(1); }, 4);
