@@ -10,8 +10,9 @@
 // The budget-aware entry point `solve` adds *anytime* semantics on top
 // (docs/ROBUSTNESS.md): when the util::RunBudget expires mid-run, chunks
 // already placed keep their ConFL solutions and every remaining chunk is
-// placed by a cheap greedy hop-count fallback, so the caller always gets a
-// feasible placement — never a throw, never an empty result.
+// placed by a cheap greedy hop-count fallback (core/rehost.h), so the
+// caller always gets a feasible placement — never a throw, never an empty
+// result.
 
 #include "confl/confl.h"
 #include "core/instance_builder.h"

@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <numeric>
 #include <optional>
+#include <ostream>
 #include <set>
 #include <string>
 #include <vector>
@@ -203,6 +204,10 @@ struct RouteCase {
   ContentionMode mode;
   int radius;
 };
+
+// gtest would otherwise print the raw bytes of `name` — a load address that
+// changes from run to run — into the discovered test name.
+void PrintTo(const RouteCase& param, std::ostream* os) { *os << param.name; }
 
 class RouteMemoTest : public ::testing::TestWithParam<RouteCase> {};
 
