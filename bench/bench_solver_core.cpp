@@ -168,22 +168,6 @@ void BM_ApproxRunRebuild(benchmark::State& state) {
   state.SetLabel(std::to_string(g.num_nodes()) + " nodes");
 }
 
-// Both reference engines (KMB Steiner + per-chunk rebuild) — the PR-4
-// BM_ApproxRun configuration, kept for longitudinal comparison.
-void BM_ApproxRunKmbRebuild(benchmark::State& state) {
-  const int side = static_cast<int>(state.range(0));
-  const graph::Graph g = graph::make_grid(side, side);
-  const core::FairCachingProblem problem = grid_problem(g, 5);
-  core::ApproxConfig config;
-  config.confl.steiner_engine = steiner::Engine::kClosureKmb;
-  config.instance.contention_mode = core::ContentionMode::kRebuild;
-  for (auto _ : state) {
-    core::ApproxFairCaching appx(config);
-    benchmark::DoNotOptimize(appx.run(problem));
-  }
-  state.SetLabel(std::to_string(g.num_nodes()) + " nodes");
-}
-
 BENCHMARK(BM_ContentionBuild)->Arg(10)->Arg(20)->Arg(30)->Arg(40)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_SolveConfl)->Arg(10)->Arg(20)->Arg(30)->Arg(40)
@@ -199,8 +183,6 @@ BENCHMARK(BM_ApproxRunUnguarded)->Arg(10)->Arg(20)->Arg(30)->Arg(40)
 BENCHMARK(BM_ApproxRunAuditEveryBuild)->Arg(10)->Arg(20)->Arg(30)->Arg(40)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_ApproxRunRebuild)->Arg(10)->Arg(20)->Arg(30)->Arg(40)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_ApproxRunKmbRebuild)->Arg(10)->Arg(20)->Arg(30)->Arg(40)
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

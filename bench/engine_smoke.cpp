@@ -2,22 +2,19 @@
 // job). Two layers of checks over a fixture set of grid and
 // random-geometric instances:
 //
-// Steiner engines (kClosureKmb vs kVoronoi):
-//   1. deterministic across thread counts — the FNV-1a hash of the
-//      (edges, cost-bits) stream must be identical at 1, 2 and 8 threads;
-//   2. the documented cross-engine bound — the Voronoi tree may cost at
-//      most twice the KMB tree (both are ≤ 2·OPT and KMB ≥ OPT, see
-//      docs/PERF.md), and neither engine may beat the other by a factor
-//      that would indicate a broken construction.
+// Steiner tree (Mehlhorn's Voronoi construction):
+//   1. deterministic — the FNV-1a hash of the (edges, cost-bits) stream
+//      must be identical across two builds, and is printed per fixture.
+//      (The 2× bound against the classic metric-closure construction lives
+//      in tests/steiner_test.cpp, against tests/steiner_oracle.h.)
 //
-// End-to-end ApproxFairCaching runs over every (Steiner engine ×
-// contention mode) combination:
-//   3. each combination's placement/objective hash is identical at 1, 2
-//      and 8 threads;
-//   4. kIncremental, kRebuild and kSparse (unbounded radius) agree —
+// End-to-end ApproxFairCaching runs under every contention mode:
+//   2. each mode's placement/objective hash is identical at 1, 2 and 8
+//      threads;
+//   3. kIncremental, kRebuild and kSparse (unbounded radius) agree —
 //      identical placement hashes and per-chunk objectives within 1e-9
 //      (they are in fact bit-identical on these connected integer-weight
-//      instances) for each Steiner engine.
+//      instances).
 //
 // Plus one 100k-node kSparse smoke run asserting the sparse engine's
 // memory budget: the run must finish without degrading to the greedy
@@ -124,9 +121,8 @@ std::uint64_t run_hash(const core::FairCachingResult& result) {
   return h;
 }
 
-// End-to-end checks 3 and 4: thread-determinism of every (engine, mode)
-// combination, and cross-mode agreement per engine. Returns the number of
-// failures.
+// End-to-end checks 2 and 3: thread-determinism of every contention mode,
+// and cross-mode agreement. Returns the number of failures.
 int check_end_to_end(const Fixture& f) {
   int failures = 0;
   core::FairCachingProblem problem;
@@ -135,69 +131,62 @@ int check_end_to_end(const Fixture& f) {
   problem.num_chunks = 3;
   problem.uniform_capacity = 5;
 
-  const steiner::Engine engines[2] = {steiner::Engine::kClosureKmb,
-                                      steiner::Engine::kVoronoi};
-  const char* engine_name[2] = {"kClosureKmb", "kVoronoi"};
   const core::ContentionMode modes[3] = {core::ContentionMode::kRebuild,
                                          core::ContentionMode::kIncremental,
                                          core::ContentionMode::kSparse};
   const char* mode_name[3] = {"kRebuild", "kIncremental", "kSparse"};
 
-  for (int e = 0; e < 2; ++e) {
-    std::uint64_t mode_hash[3] = {0, 0, 0};
-    core::FairCachingResult mode_result[3];
-    for (int m = 0; m < 3; ++m) {
-      std::uint64_t hash1 = 0;
-      for (const int threads : {1, 2, 8}) {
-        core::ApproxConfig config;
-        config.confl.steiner_engine = engines[e];
-        config.confl.threads = threads;
-        config.instance.contention_mode = modes[m];
-        config.instance.threads = threads;
-        core::FairCachingResult result =
-            core::ApproxFairCaching(config).run(problem);
-        const std::uint64_t h = run_hash(result);
-        if (threads == 1) {
-          hash1 = h;
-          mode_result[m] = std::move(result);
-        } else if (h != hash1) {
-          std::printf("FAIL %s appx %s %s: hash diverges at %d threads "
-                      "(%016llx vs %016llx)\n",
-                      f.name.c_str(), engine_name[e], mode_name[m], threads,
-                      static_cast<unsigned long long>(h),
-                      static_cast<unsigned long long>(hash1));
-          ++failures;
-        }
-      }
-      mode_hash[m] = hash1;
-      std::printf("%-18s appx %-11s %-12s hash=%016llx\n", f.name.c_str(),
-                  engine_name[e], mode_name[m],
-                  static_cast<unsigned long long>(hash1));
-    }
-    // Cross-mode agreement: same placements, per-chunk objectives within
-    // 1e-9 (the contention engines are bit-identical on integer weights
-    // and these connected fixtures, so in practice the hashes — objective
-    // bits included — match).
-    for (int m = 1; m < 3; ++m) {
-      if (mode_hash[0] != mode_hash[m]) {
-        std::printf("FAIL %s appx %s: %s disagrees with kRebuild "
+  std::uint64_t mode_hash[3] = {0, 0, 0};
+  core::FairCachingResult mode_result[3];
+  for (int m = 0; m < 3; ++m) {
+    std::uint64_t hash1 = 0;
+    for (const int threads : {1, 2, 8}) {
+      core::ApproxConfig config;
+      config.confl.threads = threads;
+      config.instance.contention_mode = modes[m];
+      config.instance.threads = threads;
+      core::FairCachingResult result =
+          core::ApproxFairCaching(config).run(problem);
+      const std::uint64_t h = run_hash(result);
+      if (threads == 1) {
+        hash1 = h;
+        mode_result[m] = std::move(result);
+      } else if (h != hash1) {
+        std::printf("FAIL %s appx %s: hash diverges at %d threads "
                     "(%016llx vs %016llx)\n",
-                    f.name.c_str(), engine_name[e], mode_name[m],
-                    static_cast<unsigned long long>(mode_hash[m]),
-                    static_cast<unsigned long long>(mode_hash[0]));
+                    f.name.c_str(), mode_name[m], threads,
+                    static_cast<unsigned long long>(h),
+                    static_cast<unsigned long long>(hash1));
         ++failures;
       }
-      for (std::size_t c = 0; c < mode_result[0].placements.size() &&
-                              c < mode_result[m].placements.size();
-           ++c) {
-        const double a = mode_result[0].placements[c].solver_objective;
-        const double b = mode_result[m].placements[c].solver_objective;
-        if (std::abs(a - b) > 1e-9) {
-          std::printf("FAIL %s appx %s %s chunk %zu: objectives diverge "
-                      "(%.12f vs %.12f)\n",
-                      f.name.c_str(), engine_name[e], mode_name[m], c, a, b);
-          ++failures;
-        }
+    }
+    mode_hash[m] = hash1;
+    std::printf("%-18s appx %-12s hash=%016llx\n", f.name.c_str(),
+                mode_name[m], static_cast<unsigned long long>(hash1));
+  }
+  // Cross-mode agreement: same placements, per-chunk objectives within
+  // 1e-9 (the contention engines are bit-identical on integer weights and
+  // these connected fixtures, so in practice the hashes — objective bits
+  // included — match).
+  for (int m = 1; m < 3; ++m) {
+    if (mode_hash[0] != mode_hash[m]) {
+      std::printf("FAIL %s appx: %s disagrees with kRebuild "
+                  "(%016llx vs %016llx)\n",
+                  f.name.c_str(), mode_name[m],
+                  static_cast<unsigned long long>(mode_hash[m]),
+                  static_cast<unsigned long long>(mode_hash[0]));
+      ++failures;
+    }
+    for (std::size_t c = 0; c < mode_result[0].placements.size() &&
+                            c < mode_result[m].placements.size();
+         ++c) {
+      const double a = mode_result[0].placements[c].solver_objective;
+      const double b = mode_result[m].placements[c].solver_objective;
+      if (std::abs(a - b) > 1e-9) {
+        std::printf("FAIL %s appx %s chunk %zu: objectives diverge "
+                    "(%.12f vs %.12f)\n",
+                    f.name.c_str(), mode_name[m], c, a, b);
+        ++failures;
       }
     }
   }
@@ -341,44 +330,22 @@ int check_sparse_scale() {
 int main() {
   int failures = 0;
   for (const Fixture& f : make_fixtures()) {
-    steiner::SteinerTree trees[2];
-    const steiner::Engine engines[2] = {steiner::Engine::kClosureKmb,
-                                        steiner::Engine::kVoronoi};
-    const char* engine_name[2] = {"kClosureKmb", "kVoronoi"};
-    for (int e = 0; e < 2; ++e) {
-      std::uint64_t hash1 = 0;
-      for (const int threads : {1, 2, 8}) {
-        const auto tree = steiner::steiner_mst_approx(
-            f.graph, f.weight, f.terminals, threads, engines[e]);
-        const std::uint64_t h = tree_hash(tree);
-        if (threads == 1) {
-          hash1 = h;
-          trees[e] = tree;
-        } else if (h != hash1) {
-          std::printf("FAIL %s %s: hash diverges at %d threads "
-                      "(%016llx vs %016llx)\n",
-                      f.name.c_str(), engine_name[e], threads,
-                      static_cast<unsigned long long>(h),
-                      static_cast<unsigned long long>(hash1));
-          ++failures;
-        }
-      }
-      std::printf("%-18s %-11s cost=%.6f hash=%016llx edges=%zu\n",
-                  f.name.c_str(), engine_name[e], trees[e].cost,
-                  static_cast<unsigned long long>(tree_hash(trees[e])),
-                  trees[e].edges.size());
-    }
-    // Documented cross-engine bound (docs/PERF.md): each engine's tree is
-    // ≤ 2·OPT while the other's is ≥ OPT, so neither may exceed twice the
-    // other's cost.
-    const double kmb = trees[0].cost;
-    const double vor = trees[1].cost;
-    if (vor > 2.0 * kmb + 1e-9 || kmb > 2.0 * vor + 1e-9) {
-      std::printf("FAIL %s: cross-engine bound violated "
-                  "(kmb=%.9f voronoi=%.9f)\n",
-                  f.name.c_str(), kmb, vor);
+    // Two builds of the same tree must hash identically.
+    const auto tree =
+        steiner::steiner_mst_approx(f.graph, f.weight, f.terminals);
+    const std::uint64_t hash1 = tree_hash(tree);
+    const std::uint64_t hash2 = tree_hash(
+        steiner::steiner_mst_approx(f.graph, f.weight, f.terminals));
+    if (hash2 != hash1) {
+      std::printf("FAIL %s steiner: hash diverges between runs "
+                  "(%016llx vs %016llx)\n",
+                  f.name.c_str(), static_cast<unsigned long long>(hash2),
+                  static_cast<unsigned long long>(hash1));
       ++failures;
     }
+    std::printf("%-18s steiner cost=%.6f hash=%016llx edges=%zu\n",
+                f.name.c_str(), tree.cost,
+                static_cast<unsigned long long>(hash1), tree.edges.size());
     failures += check_end_to_end(f);
   }
   failures += check_guard_overhead();

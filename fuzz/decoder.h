@@ -73,17 +73,16 @@ inline void decode_problem(const std::uint8_t* data, std::size_t size,
   }
 
   // Solver options: positive steps, small span thresholds, both growth
-  // modes, both Steiner engines, every contention mode. Single-threaded —
-  // fuzz iterations must stay cheap.
+  // modes, every contention mode. Single-threaded — fuzz iterations must
+  // stay cheap. Bit 0x80 of the option byte is unused (it once picked a
+  // Steiner engine); the byte layout is unchanged so every corpus seed
+  // decodes the same.
   const std::uint8_t opt = in.u8();
   out.config.confl.growth = (opt & 0x1) != 0
                                 ? confl::GrowthMode::kEventDriven
                                 : confl::GrowthMode::kFixedStep;
   out.config.confl.alpha_step = 0.25 * (1 + ((opt >> 1) & 0x7));
   out.config.confl.gamma_step = 0.5 * (1 + ((opt >> 4) & 0x7));
-  out.config.confl.steiner_engine = (opt & 0x80) != 0
-                                        ? steiner::Engine::kVoronoi
-                                        : steiner::Engine::kClosureKmb;
   // The span byte's low bits pick the threshold; its high bit selects the
   // contention engine, so fuzz_solve drives both the per-chunk rebuild and
   // the incremental delta-update paths.

@@ -54,8 +54,7 @@ MetricCosts metric_costs(const Graph& g, const BaselineConfig& config) {
 
 double placement_cost(const Graph& g, NodeId producer,
                       const std::vector<NodeId>& open,
-                      const MetricCosts& costs, double lambda,
-                      int threads = 1) {
+                      const MetricCosts& costs, double lambda) {
   double access = 0.0;
   const double* prow = costs.dist[static_cast<std::size_t>(producer)];
   for (NodeId j = 0; j < g.num_nodes(); ++j) {
@@ -70,9 +69,7 @@ double placement_cost(const Graph& g, NodeId producer,
   if (!open.empty()) {
     std::vector<NodeId> terminals = open;
     terminals.push_back(producer);
-    tree = steiner::steiner_mst_approx(g, costs.edge_weight, terminals,
-                                       threads)
-               .cost;
+    tree = steiner::steiner_mst_approx(g, costs.edge_weight, terminals).cost;
   }
   return access + lambda * tree;
 }
@@ -90,8 +87,7 @@ std::vector<NodeId> select_cache_set(const Graph& g, NodeId producer,
 
   const auto n = static_cast<std::size_t>(g.num_nodes());
   std::vector<NodeId> open;
-  double current =
-      placement_cost(g, producer, open, costs, tree_weight, config.threads);
+  double current = placement_cost(g, producer, open, costs, tree_weight);
 
   // Candidate evaluations are independent: score them all in parallel,
   // then pick the winner with the reference's ascending-id scan (so ties

@@ -167,7 +167,6 @@ int derive_max_rounds(const ConflInstance& instance,
 // the ADMIN set cannot be connected to the root.
 template <typename Rows>
 util::Status finish_solution(const ConflInstance& instance,
-                             const ConflOptions& options,
                              const util::RunBudget& budget,
                              std::vector<NodeId>& admins, const Rows& rows,
                              ConflSolution& solution) {
@@ -194,8 +193,7 @@ util::Status finish_solution(const ConflInstance& instance,
     std::vector<double> scaled = instance.edge_cost;
     for (double& w : scaled) w *= instance.edge_scale;
     util::Result<steiner::SteinerTree> tree = steiner::try_steiner_mst_approx(
-        *instance.network, scaled, std::move(terminals), options.threads,
-        budget, options.steiner_engine);
+        *instance.network, scaled, std::move(terminals), budget);
     if (!tree.ok()) return tree.status();
     solution.tree = std::move(tree).value();
     solution.tree_cost = solution.tree.cost;
@@ -868,8 +866,8 @@ util::Result<ConflSolution> try_solve_confl_impl(const ConflInstance& instance,
         "dual growth did not converge within the round budget");
   }
 
-  if (util::Status s = finish_solution(instance, options, budget, admins,
-                                       rows, solution);
+  if (util::Status s =
+          finish_solution(instance, budget, admins, rows, solution);
       !s.ok()) {
     return s;
   }
@@ -1125,8 +1123,8 @@ ConflSolution solve_confl_reference(const ConflInstance& instance,
   FAIRCACHE_CHECK(all_frozen(),
                   "dual growth did not converge within the round budget");
 
-  check_status(finish_solution(instance, options, util::RunBudget(), admins,
-                               rows, solution),
+  check_status(finish_solution(instance, util::RunBudget(), admins, rows,
+                               solution),
                "finish_solution(...).ok()");
   return solution;
 }

@@ -93,21 +93,14 @@ struct ConflOptions {
   int span_threshold = 3;
   // Safety valve on growth rounds; 0 derives it from max assignment cost.
   int max_rounds = 0;
-  // Worker threads for the parallelisable set-up work (event-list builds,
-  // Phase 2 Steiner shortest paths). 0 = the util::parallel_threads()
-  // default, 1 = fully serial. The solution is bit-identical at any
-  // setting; threading never changes the dual-growth arithmetic.
+  // Worker threads for the parallelisable set-up work (event-list
+  // builds). 0 = the util::parallel_threads() default, 1 = fully serial.
+  // The solution is bit-identical at any setting; threading never changes
+  // the dual-growth arithmetic.
   int threads = 0;
-  // Engine used for the Phase 2 Steiner tree. The default kVoronoi builds
-  // the 2-approximate tree from one multi-source sweep (asymptotically
-  // |A|× cheaper than KMB) and is deterministic and thread-invariant; its
-  // outputs are pinned by their own golden fixtures. kClosureKmb is the
-  // historical per-terminal-SSSP construction, bit-identical to the
-  // pre-flip golden outputs. Both are 2-approximations but may select
-  // different trees — switching engines changes which solution is
-  // produced, not its quality guarantee. Note only the dissemination tree
-  // differs: the open facilities and assignments of a ConFL solve are
-  // engine-independent (Phase 1 never consults the engine).
+  // Accepted and ignored: the Phase 2 tree is always Mehlhorn's
+  // Voronoi-partition construction (steiner/steiner.h), deterministic and
+  // thread-invariant. Kept only for source compatibility.
   steiner::Engine steiner_engine = steiner::Engine::kVoronoi;
   // Test/diagnostic hook: when non-null, every growth round's time advance
   // (the per-round delta; alpha_step in fixed-step mode) is appended. Used

@@ -24,11 +24,7 @@
 namespace faircache::core {
 
 struct ApproxConfig {
-  // Per-chunk ConFL solver knobs. `confl.steiner_engine` selects the
-  // Phase 2 tree construction: the default kVoronoi builds the
-  // 2-approximate tree from one multi-source sweep (the fast choice at
-  // any size); kClosureKmb is the historical per-terminal-SSSP engine,
-  // bit-identical to the pre-PR-5 golden outputs.
+  // Per-chunk ConFL solver knobs.
   confl::ConflOptions confl;
   // `instance.contention_mode` selects the per-chunk cost engine: the
   // default kIncremental delta-patches pinned BFS trees between chunks;

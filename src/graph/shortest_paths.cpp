@@ -252,46 +252,18 @@ struct IndexedCostHeap {
   }
 };
 
-const CsrAdjacency* resolve_adjacency(const Graph& g, const CsrAdjacency* adj,
-                                      const std::vector<double>* slot_weight,
-                                      CsrAdjacency& local) {
-  if (adj == nullptr) {
-    FAIRCACHE_CHECK(slot_weight == nullptr,
-                    "slot_weight requires a csr adjacency");
-    local = build_csr(g);
-    adj = &local;
-  }
-  FAIRCACHE_CHECK(
-      adj->offset.size() == static_cast<std::size_t>(g.num_nodes()) + 1,
-      "csr adjacency size mismatch");
-  FAIRCACHE_CHECK(
-      slot_weight == nullptr || slot_weight->size() == adj->incident.size(),
-      "slot weight size mismatch");
-  return adj;
-}
-
 }  // namespace
 
 EdgeWeightedPaths dijkstra_edge_weights(const Graph& g, NodeId source,
-                                        const std::vector<double>& weight,
-                                        const std::vector<char>* settle_only,
-                                        const CsrAdjacency* adj,
-                                        const std::vector<double>* slot_weight) {
+                                        const std::vector<double>& weight) {
   FAIRCACHE_CHECK(g.contains(source), "dijkstra source out of range");
   FAIRCACHE_CHECK(static_cast<int>(weight.size()) == g.num_edges(),
                   "edge weight vector size mismatch");
-  CsrAdjacency local;
-  adj = resolve_adjacency(g, adj, slot_weight, local);
+  const CsrAdjacency adj = build_csr(g);
 
   EdgeWeightedPaths out;
   out.source = source;
   const auto n = static_cast<std::size_t>(g.num_nodes());
-
-  int wanted = 0;
-  if (settle_only != nullptr) {
-    FAIRCACHE_CHECK(settle_only->size() == n, "settle_only size mismatch");
-    for (char f : *settle_only) wanted += f != 0;
-  }
 
   // Per-node search state, packed so that one relaxation touches one cache
   // line instead of four parallel arrays; copied into `out` at the end.
@@ -311,19 +283,13 @@ EdgeWeightedPaths dijkstra_edge_weights(const Graph& g, NodeId source,
     const HeapKey top = heap.pop_min();
     const NodeId v = key_id(top);
     const double cost = key_cost(top);
-    if (settle_only != nullptr &&
-        (*settle_only)[static_cast<std::size_t>(v)] != 0 && --wanted == 0) {
-      break;  // everything the caller reads is final now
-    }
-    const int end = adj->offset[static_cast<std::size_t>(v) + 1];
-    for (int k = adj->offset[static_cast<std::size_t>(v)]; k < end; ++k) {
-      const NodeId w = adj->neighbor[static_cast<std::size_t>(k)];
+    const int end = adj.offset[static_cast<std::size_t>(v) + 1];
+    for (int k = adj.offset[static_cast<std::size_t>(v)]; k < end; ++k) {
+      const NodeId w = adj.neighbor[static_cast<std::size_t>(k)];
       NodeState& ws = state[static_cast<std::size_t>(w)];
       if (ws.pos == kSettled) continue;
-      const EdgeId e = adj->incident[static_cast<std::size_t>(k)];
-      const double ew = slot_weight != nullptr
-                            ? (*slot_weight)[static_cast<std::size_t>(k)]
-                            : weight[static_cast<std::size_t>(e)];
+      const EdgeId e = adj.incident[static_cast<std::size_t>(k)];
+      const double ew = weight[static_cast<std::size_t>(e)];
       FAIRCACHE_DCHECK(ew >= 0, "edge weights must be non-negative");
       const double cand = cost + ew;
       if (cand < ws.cost || (cand == ws.cost && v < ws.parent)) {
@@ -348,14 +314,15 @@ EdgeWeightedPaths dijkstra_edge_weights(const Graph& g, NodeId source,
 
 VoronoiPartition voronoi_partition(const Graph& g,
                                    const std::vector<NodeId>& seeds,
-                                   const std::vector<double>& weight,
-                                   const CsrAdjacency* adj,
-                                   const std::vector<double>* slot_weight) {
+                                   const std::vector<double>& weight) {
   FAIRCACHE_CHECK(!seeds.empty(), "voronoi partition needs at least one seed");
   FAIRCACHE_CHECK(static_cast<int>(weight.size()) == g.num_edges(),
                   "edge weight vector size mismatch");
-  CsrAdjacency local;
-  adj = resolve_adjacency(g, adj, slot_weight, local);
+  const CsrAdjacency adj = build_csr(g);
+  std::vector<double> slot_weight(adj.incident.size());
+  for (std::size_t k = 0; k < adj.incident.size(); ++k) {
+    slot_weight[k] = weight[static_cast<std::size_t>(adj.incident[k])];
+  }
 
   const auto n = static_cast<std::size_t>(g.num_nodes());
   struct NodeState {
@@ -387,15 +354,13 @@ VoronoiPartition voronoi_partition(const Graph& g,
     const NodeId v = key_id(top);
     const double cost = key_cost(top);
     const NodeId owner = state[static_cast<std::size_t>(v)].nearest;
-    const int end = adj->offset[static_cast<std::size_t>(v) + 1];
-    for (int k = adj->offset[static_cast<std::size_t>(v)]; k < end; ++k) {
-      const NodeId w = adj->neighbor[static_cast<std::size_t>(k)];
+    const int end = adj.offset[static_cast<std::size_t>(v) + 1];
+    for (int k = adj.offset[static_cast<std::size_t>(v)]; k < end; ++k) {
+      const NodeId w = adj.neighbor[static_cast<std::size_t>(k)];
       NodeState& ws = state[static_cast<std::size_t>(w)];
       if (ws.pos == kSettled) continue;
-      const EdgeId e = adj->incident[static_cast<std::size_t>(k)];
-      const double ew = slot_weight != nullptr
-                            ? (*slot_weight)[static_cast<std::size_t>(k)]
-                            : weight[static_cast<std::size_t>(e)];
+      const EdgeId e = adj.incident[static_cast<std::size_t>(k)];
+      const double ew = slot_weight[static_cast<std::size_t>(k)];
       FAIRCACHE_DCHECK(ew >= 0, "edge weights must be non-negative");
       const double cand = cost + ew;
       if (cand < ws.cost || (cand == ws.cost && v < ws.parent)) {

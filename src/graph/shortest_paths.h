@@ -3,8 +3,8 @@
 // Shortest-path machinery. The paper routes all traffic along *hop-shortest*
 // paths ("a node will find the nearest copy of a chunk and go through the
 // shortest hop path", §V-A); contention weights are then summed along those
-// paths. We also provide node-weighted Dijkstra and Floyd–Warshall, used by
-// the Steiner/metric-closure layers and as test oracles.
+// paths. We also provide node-weighted Dijkstra, the multi-source Voronoi
+// sweep behind the Steiner tree, and Floyd–Warshall as a test oracle.
 
 #include <cstdint>
 #include <limits>
@@ -68,7 +68,8 @@ NodeWeightedPaths dijkstra_node_weights(const Graph& g, NodeId source,
                                         const std::vector<double>& weight);
 
 // Classic edge-weighted Dijkstra. Tie-breaking: lower cost, then smaller
-// parent id — deterministic path trees for the Steiner expansion step.
+// parent id — deterministic path trees for the exact solvers' root
+// distances and the Dreyfus–Wagner seeding.
 struct EdgeWeightedPaths {
   NodeId source = kInvalidNode;
   std::vector<double> cost;       // kInfCost if unreachable
@@ -76,25 +77,8 @@ struct EdgeWeightedPaths {
   std::vector<EdgeId> parent_edge;  // edge to parent, -1 if none
 };
 
-// When `settle_only` is non-null (size n, 1 = node of interest), the run
-// stops as soon as every flagged node is settled; cost/parent/parent_edge
-// are then final (and identical to the full run) for every settled node,
-// but unspecified for the rest. Callers that only consume flagged nodes —
-// the Steiner metric closure and its path expansion walk only settled
-// nodes — get bit-identical results for less work.
-//
-// `adj` is an optional pre-built CSR copy of g's adjacency (build_csr):
-// callers running many sources over one graph build it once and amortize
-// the flattening; when null, a local copy is built. `slot_weight` is an
-// optional array aligned with adj.incident (slot_weight[k] =
-// weight[adj.incident[k]]) that turns the per-relaxation weight gather
-// into a contiguous read; it requires `adj`. The result does not depend
-// on whether either is supplied.
-EdgeWeightedPaths dijkstra_edge_weights(
-    const Graph& g, NodeId source, const std::vector<double>& weight,
-    const std::vector<char>* settle_only = nullptr,
-    const CsrAdjacency* adj = nullptr,
-    const std::vector<double>* slot_weight = nullptr);
+EdgeWeightedPaths dijkstra_edge_weights(const Graph& g, NodeId source,
+                                        const std::vector<double>& weight);
 
 // Nearest-seed partition from one multi-source Dijkstra sweep — the
 // Voronoi decomposition at the heart of Mehlhorn's Steiner construction.
@@ -113,17 +97,15 @@ struct VoronoiPartition {
   std::vector<EdgeId> parent_edge;  // edge to parent, -1 if none
 };
 
-// `seeds` must be non-empty, in-range, and duplicate-free. `adj` /
-// `slot_weight` follow the dijkstra_edge_weights contract (optional
-// prebuilt CSR adjacency and slot-aligned weights; the result does not
-// depend on whether either is supplied).
-VoronoiPartition voronoi_partition(
-    const Graph& g, const std::vector<NodeId>& seeds,
-    const std::vector<double>& weight, const CsrAdjacency* adj = nullptr,
-    const std::vector<double>* slot_weight = nullptr);
+// `seeds` must be non-empty, in-range, and duplicate-free. The sweep runs
+// over a CSR copy of g's adjacency with slot-aligned weights, so each
+// relaxation reads its neighbour and weight contiguously.
+VoronoiPartition voronoi_partition(const Graph& g,
+                                   const std::vector<NodeId>& seeds,
+                                   const std::vector<double>& weight);
 
 // Floyd–Warshall over explicit edge weights (dense). Used as an oracle in
-// tests and by the metric-closure construction.
+// tests.
 std::vector<std::vector<double>> floyd_warshall(
     const Graph& g, const std::vector<double>& edge_weight);
 

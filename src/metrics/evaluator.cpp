@@ -44,8 +44,11 @@ PlacementEvaluation evaluate_placement(const graph::Graph& g,
     }
     sources.push_back(producer);  // producer always has every chunk
 
-    // Access phase: every node fetches the chunk from its cheapest source.
-    // The per-client scans are independent; run them in parallel.
+    // Access phase: every node fetches the chunk from its cheapest source,
+    // under core::Router's tie-break (core/route.h): `sources` lists the
+    // holders ascending and then the producer, and a later source wins
+    // only when strictly cheaper. The per-client scans are independent;
+    // run them in parallel.
     util::parallel_for(
         n,
         [&](std::size_t ji) {
@@ -59,7 +62,7 @@ PlacementEvaluation evaluate_placement(const graph::Graph& g,
           graph::NodeId best_i = graph::kInvalidNode;
           for (graph::NodeId i : sources) {
             const double c = contention.cost(i, j);
-            if (c < best || (c == best && i < best_i)) {
+            if (c < best) {
               best = c;
               best_i = i;
             }
@@ -94,8 +97,8 @@ PlacementEvaluation evaluate_placement(const graph::Graph& g,
     }
 
     // Dissemination phase: Steiner tree from the producer to all holders.
-    const steiner::SteinerTree tree = steiner::steiner_mst_approx(
-        g, contention.edge_costs(), sources, options.threads);
+    const steiner::SteinerTree tree =
+        steiner::steiner_mst_approx(g, contention.edge_costs(), sources);
     ce.dissemination_cost = tree.cost;
 
     eval.access_cost += ce.access_cost;

@@ -46,9 +46,9 @@ struct EvaluatorOptions {
   // fetch chunks nor serve as sources or Steiner terminals. nullptr = all
   // nodes alive.
   const std::vector<char>* alive = nullptr;
-  // Worker threads for the contention matrix, per-client cheapest-source
-  // scans and Steiner shortest paths (0 = the util::parallel_threads()
-  // default). The evaluation is bit-identical at any setting.
+  // Worker threads for the contention matrix and the per-client
+  // cheapest-source scans (0 = the util::parallel_threads() default). The
+  // evaluation is bit-identical at any setting.
   int threads = 0;
 };
 

@@ -139,7 +139,6 @@ std::atomic<std::uint64_t> g_epoch_counter{0};
 // regions, so each walks a topologically clustered source block while
 // writing its disjoint CSR rows.
 void build_region_shards(const graph::Graph& g,
-                         const graph::CsrAdjacency& adj,
                          std::vector<NodeId>& region_order,
                          std::vector<std::size_t>& region_begin) {
   const int n = g.num_nodes();
@@ -156,7 +155,7 @@ void build_region_shards(const graph::Graph& g,
   }
   std::vector<double> unit(static_cast<std::size_t>(g.num_edges()), 1.0);
   const graph::VoronoiPartition part =
-      graph::voronoi_partition(g, seeds, unit, &adj, nullptr);
+      graph::voronoi_partition(g, seeds, unit);
 
   // Region index per node: position of its owning seed in the (sorted)
   // seed list; nodes unreached from every seed share one trailing region.
@@ -190,7 +189,7 @@ void SparseContentionUpdater::build_full(const std::vector<double>& weight) {
   store_.full_row = graph_->contains(options_.full_row) ? options_.full_row
                                                         : graph::kInvalidNode;
   if (region_order_.empty() && n > 0) {
-    build_region_shards(*graph_, adj_, region_order_, region_begin_);
+    build_region_shards(*graph_, region_order_, region_begin_);
   }
   const std::size_t shards =
       region_begin_.empty() ? 0 : region_begin_.size() - 1;

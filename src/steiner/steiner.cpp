@@ -9,7 +9,6 @@
 
 #include "graph/shortest_paths.h"
 #include "util/matrix.h"
-#include "util/parallel.h"
 
 namespace faircache::steiner {
 
@@ -52,108 +51,20 @@ struct DisjointSet {
   std::vector<std::size_t> parent;
 };
 
-// Steps 1–3 of the KMB engine: per-terminal shortest-path trees, Prim over
-// the implicit terminal metric closure, and expansion of the selected
-// closure edges into real graph edges (with possible duplicates — the
-// shared tail sorts and deduplicates).
-util::Result<std::vector<EdgeId>> closure_union_edges(
-    const Graph& g, const std::vector<NodeId>& terminals,
-    const std::vector<char>& is_terminal, const graph::CsrAdjacency& adj,
-    const std::vector<double>& slot_weight,
-    const std::vector<double>& edge_weight, int threads,
-    const util::RunBudget& budget) {
-  // 1. Shortest-path trees from every terminal — independent single-source
-  // runs, computed in parallel. Each run may stop once every terminal is
-  // settled: the closure weights below read only terminal costs, and the
-  // expansion step walks parent chains of settled nodes, both final by
-  // then.
-  std::vector<graph::EdgeWeightedPaths> trees(terminals.size());
-  util::parallel_for(
-      terminals.size(),
-      [&](std::size_t t) {
-        budget.charge();
-        trees[t] =
-            graph::dijkstra_edge_weights(g, terminals[t], edge_weight,
-                                         &is_terminal, &adj, &slot_weight);
-      },
-      threads, budget);
-  if (budget.expired()) {
-    // The fan-out drained early; some trees are missing.
-    return budget.status("steiner per-terminal SSSP fan-out");
-  }
-  // 2. MST of the terminal metric closure. Closure edge {a, b} (a < b)
-  // carries the triple (w, a, b) with w = trees[a].cost[terminals[b]];
-  // (w, a, b) is a strict total order, so the MST under it is unique and
-  // any cut-rule algorithm finds it. Prim with full-triple comparisons
-  // therefore selects exactly the edges Kruskal over the sorted closure
-  // would, without materializing or sorting the T² edge list. The edge set
-  // produced by the expansion below is sorted and deduplicated afterwards,
-  // so discovery order does not matter either.
-  const std::size_t nt = terminals.size();
-  std::vector<char> in_tree(nt, 0);
-  std::vector<double> key_w(nt, kInfCost);  // best crossing edge per node
-  std::vector<std::size_t> key_a(nt, 0), key_b(nt, 0);
-  std::vector<EdgeId> union_edges;
-  const auto closure_cost = [&](std::size_t a, std::size_t b) {
-    return trees[a].cost[static_cast<std::size_t>(terminals[b])];
-  };
-  in_tree[0] = 1;
-  for (std::size_t u = 1; u < nt; ++u) {
-    key_w[u] = closure_cost(0, u);
-    key_a[u] = 0;
-    key_b[u] = u;
-  }
-  for (std::size_t added = 1; added < nt; ++added) {
-    if (budget.expired()) return budget.status("steiner closure MST");
-    std::size_t o = nt;
-    for (std::size_t u = 0; u < nt; ++u) {
-      if (in_tree[u]) continue;
-      if (o == nt ||
-          std::tie(key_w[u], key_a[u], key_b[u]) <
-              std::tie(key_w[o], key_a[o], key_b[o])) {
-        o = u;
-      }
-    }
-    if (key_w[o] == kInfCost) {
-      return util::Status::infeasible("terminals are not mutually reachable");
-    }
-    in_tree[o] = 1;
-    // 3. Expand the selected closure edge into real graph edges along the
-    // shortest path from terminal key_a[o] to terminal key_b[o].
-    const auto& tree = trees[key_a[o]];
-    for (NodeId v = terminals[key_b[o]]; v != tree.source;
-         v = tree.parent[static_cast<std::size_t>(v)]) {
-      union_edges.push_back(tree.parent_edge[static_cast<std::size_t>(v)]);
-    }
-    for (std::size_t u = 0; u < nt; ++u) {
-      if (in_tree[u]) continue;
-      const std::size_t a = std::min(o, u);
-      const std::size_t b = std::max(o, u);
-      const double w = closure_cost(a, b);
-      if (std::tie(w, a, b) < std::tie(key_w[u], key_a[u], key_b[u])) {
-        key_w[u] = w;
-        key_a[u] = a;
-        key_b[u] = b;
-      }
-    }
-  }
-  return union_edges;
-}
-
-// The Mehlhorn engine: one multi-source Dijkstra partitions the graph into
+// Mehlhorn's construction: one multi-source Dijkstra partitions the graph into
 // terminal Voronoi regions; every edge crossing two regions proposes a
 // terminal-graph edge of weight dist(u, s(u)) + w(e) + dist(v, s(v)).
 // Mehlhorn's lemma: the terminal graph induced by these boundary candidates
 // contains an MST of the full terminal metric closure, so Kruskal over the
-// candidates selects a closure MST and the KMB analysis carries over
-// unchanged — at O(m log n) total instead of |T| single-source runs.
+// candidates selects a closure MST and the classic metric-closure analysis
+// carries over unchanged — at O(m log n) total instead of |T|
+// single-source runs.
 util::Result<std::vector<EdgeId>> voronoi_union_edges(
     const Graph& g, const std::vector<NodeId>& terminals,
-    const graph::CsrAdjacency& adj, const std::vector<double>& slot_weight,
     const std::vector<double>& edge_weight, const util::RunBudget& budget) {
   budget.charge();  // one unit: the single multi-source sweep
   const graph::VoronoiPartition vor =
-      graph::voronoi_partition(g, terminals, edge_weight, &adj, &slot_weight);
+      graph::voronoi_partition(g, terminals, edge_weight);
   if (budget.expired()) return budget.status("steiner voronoi sweep");
 
   // Dense terminal-id → terminal-ordinal map for the Kruskal union-find.
@@ -291,10 +202,9 @@ std::vector<EdgeId> prune_non_terminal_leaves(
 
 SteinerTree steiner_mst_approx(const Graph& g,
                                const std::vector<double>& edge_weight,
-                               std::vector<NodeId> terminals, int threads,
-                               Engine engine) {
-  util::Result<SteinerTree> result = try_steiner_mst_approx(
-      g, edge_weight, std::move(terminals), threads, {}, engine);
+                               std::vector<NodeId> terminals) {
+  util::Result<SteinerTree> result =
+      try_steiner_mst_approx(g, edge_weight, std::move(terminals));
   if (!result.ok()) {
     util::check_failed("try_steiner_mst_approx(...).ok()", __FILE__, __LINE__,
                        result.status().message());
@@ -304,8 +214,14 @@ SteinerTree steiner_mst_approx(const Graph& g,
 
 util::Result<SteinerTree> try_steiner_mst_approx(
     const Graph& g, const std::vector<double>& edge_weight,
-    std::vector<NodeId> terminals, int threads,
-    const util::RunBudget& budget, Engine engine) {
+    std::vector<NodeId> terminals, int /*threads*/,
+    const util::RunBudget& budget, Engine /*engine*/) {
+  return try_steiner_mst_approx(g, edge_weight, std::move(terminals), budget);
+}
+
+util::Result<SteinerTree> try_steiner_mst_approx(
+    const Graph& g, const std::vector<double>& edge_weight,
+    std::vector<NodeId> terminals, const util::RunBudget& budget) {
   if (static_cast<int>(edge_weight.size()) != g.num_edges()) {
     return util::Status::invalid_input("edge weight vector size mismatch");
   }
@@ -328,27 +244,18 @@ util::Result<SteinerTree> try_steiner_mst_approx(
   for (NodeId t : terminals) {
     is_terminal[static_cast<std::size_t>(t)] = 1;
   }
-  const graph::CsrAdjacency adj = graph::build_csr(g);
-  std::vector<double> slot_weight(adj.incident.size());
-  for (std::size_t k = 0; k < adj.incident.size(); ++k) {
-    slot_weight[k] = edge_weight[static_cast<std::size_t>(adj.incident[k])];
-  }
 
-  // Engine-specific front half: a closure MST expanded into real graph
-  // edges (with duplicates).
+  // 1. A terminal-closure MST expanded into real graph edges (with
+  // duplicates).
   util::Result<std::vector<EdgeId>> union_result =
-      engine == Engine::kVoronoi
-          ? voronoi_union_edges(g, terminals, adj, slot_weight, edge_weight,
-                                budget)
-          : closure_union_edges(g, terminals, is_terminal, adj, slot_weight,
-                                edge_weight, threads, budget);
+      voronoi_union_edges(g, terminals, edge_weight, budget);
   if (!union_result.ok()) return union_result.status();
   std::vector<EdgeId> union_edges = std::move(union_result).value();
   std::sort(union_edges.begin(), union_edges.end());
   union_edges.erase(std::unique(union_edges.begin(), union_edges.end()),
                     union_edges.end());
 
-  // 4. MST of the union subgraph (it may contain cycles after expansion).
+  // 2. MST of the union subgraph (it may contain cycles after expansion).
   std::vector<EdgeId> candidates = std::move(union_edges);
   std::sort(candidates.begin(), candidates.end(),
             [&](EdgeId x, EdgeId y) {
@@ -366,7 +273,7 @@ util::Result<SteinerTree> try_steiner_mst_approx(
     }
   }
 
-  // 5. Prune non-terminal leaves repeatedly.
+  // 3. Prune non-terminal leaves repeatedly.
   result.edges =
       prune_non_terminal_leaves(g, std::move(tree_edges), is_terminal);
   result.cost = 0.0;

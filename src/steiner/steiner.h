@@ -6,13 +6,13 @@
 // chosen edges' contention costs.
 //
 // Implementations:
-//  * `steiner_mst_approx` — a 2-approximation with two selectable engines
-//    (`Engine` below): the classic Kou–Markowsky–Berman metric-closure MST
-//    construction, and Mehlhorn's Voronoi-partition variant that reaches
-//    the same ratio from a single multi-source Dijkstra sweep. The paper
-//    cites the 1.55-ratio Robins–Zelikovsky algorithm; any constant-factor
-//    tree keeps the ConFL analysis intact, and KMB/Mehlhorn are the
-//    standard practical choices.
+//  * `steiner_mst_approx` — Mehlhorn's 2-approximation: one multi-source
+//    Dijkstra partitions the graph into terminal Voronoi regions, the
+//    region-boundary edges induce the terminal distance graph, and its MST
+//    is expanded, re-spanned and pruned. The paper cites the 1.55-ratio
+//    Robins–Zelikovsky algorithm; any constant-factor tree keeps the ConFL
+//    analysis intact, and this is the one tree every layer builds (solver,
+//    evaluator, traffic model, baselines, local search).
 //  * `steiner_exact_dreyfus_wagner` — exponential-in-|terminals| exact DP,
 //    used as the optimality oracle in tests and by the tiny-instance exact
 //    solver.
@@ -25,23 +25,14 @@
 
 namespace faircache::steiner {
 
-// Selects how the 2-approximate tree is built. Both engines finish with
-// the same MST-of-union → prune pipeline and both carry the 2(1 − 1/|T|)
-// approximation guarantee; they may return different (equally valid) trees
-// on the same instance, so the engine choice is part of a solver's
-// determinism contract.
+// The tree construction. One engine remains; the type exists only for the
+// argument list of the compatibility overload of try_steiner_mst_approx
+// below.
 enum class Engine {
-  // Kou–Markowsky–Berman over the terminal metric closure: one
-  // shortest-path tree per terminal (computed in parallel, with early exit
-  // once every terminal is settled), then Prim over the implicit closure.
-  // O(|T| · m log n). The historical default; golden outputs are pinned
-  // against it.
-  kClosureKmb,
   // Mehlhorn's Voronoi-partition construction: one multi-source Dijkstra
   // labels every node with its nearest terminal, Voronoi boundary edges
   // induce the terminal distance graph, and Kruskal over those boundary
-  // candidates selects the closure MST. O(m log n) total — asymptotically
-  // |T|× cheaper than kClosureKmb, the engine of choice for large solves.
+  // candidates selects a closure MST. O(m log n) total, deterministic.
   kVoronoi,
 };
 
@@ -55,33 +46,34 @@ struct SteinerTree {
 
 // 2-approximate Steiner tree connecting `terminals` (deduplicated; must be
 // non-empty and mutually reachable). A single terminal yields an empty tree.
-// Under kClosureKmb the per-terminal shortest-path trees are computed in
-// parallel (threads == 0 means the util::parallel_threads() default);
-// kVoronoi runs one serial multi-source sweep. Either engine's result is
-// bit-identical at any thread count.
+// The construction is one serial sweep with no shared state, so callers may
+// build trees concurrently.
 SteinerTree steiner_mst_approx(const graph::Graph& g,
                                const std::vector<double>& edge_weight,
-                               std::vector<graph::NodeId> terminals,
-                               int threads = 0,
-                               Engine engine = Engine::kClosureKmb);
+                               std::vector<graph::NodeId> terminals);
 
 // Non-throwing, budget-aware variant of steiner_mst_approx. Malformed
 // input yields kInvalidInput, mutually unreachable terminals kInfeasible,
 // and an expired util::RunBudget the budget's own reason (kCancelled /
-// kDeadlineExceeded / kResourceExhausted). One work unit is charged per
-// shortest-path source under kClosureKmb (the budget is polled in the
-// fan-out, workers draining between sources, and once per closure-MST
-// round); kVoronoi charges a single unit for its one multi-source sweep
-// and is polled between pipeline phases. A run that completes under an
-// unexpired budget is bit-identical to steiner_mst_approx.
+// kDeadlineExceeded / kResourceExhausted). One work unit is charged for
+// the multi-source sweep, and the budget is polled between pipeline
+// phases. A run that completes under an unexpired budget is bit-identical
+// to steiner_mst_approx.
 util::Result<SteinerTree> try_steiner_mst_approx(
     const graph::Graph& g, const std::vector<double>& edge_weight,
-    std::vector<graph::NodeId> terminals, int threads = 0,
-    const util::RunBudget& budget = {}, Engine engine = Engine::kClosureKmb);
+    std::vector<graph::NodeId> terminals, const util::RunBudget& budget = {});
+
+// Compatibility overload for callers written against the two-engine API:
+// `threads` and `engine` are accepted and ignored, and the result is that
+// of the overload above.
+util::Result<SteinerTree> try_steiner_mst_approx(
+    const graph::Graph& g, const std::vector<double>& edge_weight,
+    std::vector<graph::NodeId> terminals, int threads,
+    const util::RunBudget& budget, Engine engine);
 
 // Repeatedly removes edges hanging off non-terminal leaves until every
 // leaf of the forest is a terminal; returns the surviving edges sorted
-// ascending. Shared tail of both approximation engines. Runs in
+// ascending. Final step of steiner_mst_approx. Runs in
 // O(V + |tree_edges|) via a degree-decrement worklist, so long dangling
 // paths are pruned in linear time. Exposed for tests.
 std::vector<graph::EdgeId> prune_non_terminal_leaves(

@@ -3,7 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 
 #include "graph/generators.h"
@@ -13,6 +15,7 @@
 #include "metrics/fairness.h"
 #include "metrics/fairness_stats.h"
 #include "metrics/latency_model.h"
+#include "steiner/steiner.h"
 #include "util/rng.h"
 
 namespace faircache::metrics {
@@ -255,6 +258,51 @@ TEST(EvaluatorTest, AssignmentsAlwaysPointAtCopies) {
           EXPECT_LE(m.cost(source, j), m.cost(alt, j) + 1e-9);
         }
       }
+    }
+  }
+}
+
+TEST(EvaluatorTest, DisseminationCostIsVoronoiTreeCost) {
+  // Property: every chunk's dissemination cost is, bit for bit, the cost
+  // of the library's Steiner tree over the evaluator's edge costs with the
+  // alive holders plus the producer as terminals.
+  util::Rng rng(77);
+  graph::RandomGeometricConfig config;
+  config.num_nodes = 30;
+  config.radius = 0.35;
+  for (int trial = 0; trial < 8; ++trial) {
+    const Graph g = trial % 2 == 0
+                        ? make_grid(5, 5)
+                        : graph::make_random_geometric(config, rng).graph;
+    const int n = g.num_nodes();
+    const auto producer = static_cast<graph::NodeId>(rng.bounded(n));
+    CacheState state(n, 3, producer);
+    for (int placements = 0; placements < 3 * n / 2; ++placements) {
+      const auto v = static_cast<graph::NodeId>(rng.bounded(n));
+      const auto chunk = static_cast<ChunkId>(rng.bounded(4));
+      if (state.can_cache(v, chunk)) state.add(v, chunk);
+    }
+    std::vector<char> alive(static_cast<std::size_t>(n), 1);
+    for (graph::NodeId v = 0; v < n; v += 7) {
+      if (v != producer) alive[static_cast<std::size_t>(v)] = 0;
+    }
+    EvaluatorOptions options;
+    options.num_chunks = 4;
+    if (trial >= 4) options.alive = &alive;
+    const auto eval = evaluate_placement(g, state, options);
+    const ContentionMatrix m(g, state);
+    for (const auto& ce : eval.per_chunk) {
+      std::vector<graph::NodeId> terminals = {producer};
+      for (graph::NodeId v : state.holders(ce.chunk)) {
+        if (options.alive == nullptr || alive[static_cast<std::size_t>(v)]) {
+          terminals.push_back(v);
+        }
+      }
+      const double tree =
+          steiner::steiner_mst_approx(g, m.edge_costs(), terminals).cost;
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(ce.dissemination_cost),
+                std::bit_cast<std::uint64_t>(tree))
+          << "trial " << trial << ", chunk " << ce.chunk;
     }
   }
 }

@@ -1,5 +1,5 @@
 // Tests for the parallel, allocation-lean solver core: util::Matrix,
-// util::parallel_for, the CSR/partial Dijkstra fast paths, and — most
+// util::parallel_for, the CSR adjacency, and — most
 // importantly — the determinism contract: the active-set solve_confl is
 // bit-identical to the dense reference engine and to itself at every
 // thread count.
@@ -22,6 +22,7 @@
 #include "graph/shortest_paths.h"
 #include "metrics/contention.h"
 #include "steiner/steiner.h"
+#include "steiner_oracle.h"
 #include "util/matrix.h"
 #include "util/parallel.h"
 #include "util/rng.h"
@@ -169,74 +170,6 @@ TEST(AllPairsHopsTest, ThreadCountDoesNotChangeResult) {
   EXPECT_TRUE(one == many);
 }
 
-TEST(DijkstraEdgeWeightsTest, SettleOnlyMatchesFullRunOnFlaggedNodes) {
-  const Graph g = graph::make_grid(8, 8);
-  util::Rng rng(21);
-  std::vector<double> weight(static_cast<std::size_t>(g.num_edges()));
-  for (double& w : weight) w = rng.uniform(0.5, 4.0);
-
-  std::vector<char> flags(static_cast<std::size_t>(g.num_nodes()), 0);
-  const std::vector<NodeId> targets = {3, 17, 40, 63};
-  for (NodeId t : targets) flags[static_cast<std::size_t>(t)] = 1;
-
-  const auto full = graph::dijkstra_edge_weights(g, 0, weight);
-  const auto part = graph::dijkstra_edge_weights(g, 0, weight, &flags);
-  for (NodeId t : targets) {
-    const auto ti = static_cast<std::size_t>(t);
-    EXPECT_EQ(full.cost[ti], part.cost[ti]);  // bitwise
-    EXPECT_EQ(full.parent[ti], part.parent[ti]);
-    EXPECT_EQ(full.parent_edge[ti], part.parent_edge[ti]);
-  }
-}
-
-TEST(DijkstraEdgeWeightsTest, SettleOnlyTerminatesWhenFlaggedUnreachable) {
-  // Two components plus an isolated node: flagged nodes 5 and 7 can never
-  // be settled from the source's component, so the settle-only countdown
-  // never reaches zero. The run must still terminate (heap exhaustion),
-  // with full-run-identical results for the reachable flagged node and
-  // kInfCost / no parent for the unreachable ones.
-  Graph g(8);
-  g.add_edge(0, 1);
-  g.add_edge(1, 2);
-  g.add_edge(2, 3);
-  g.add_edge(4, 5);
-  g.add_edge(5, 6);
-  std::vector<double> weight(static_cast<std::size_t>(g.num_edges()), 1.5);
-  std::vector<char> flags(static_cast<std::size_t>(g.num_nodes()), 0);
-  flags[2] = flags[5] = flags[7] = 1;
-
-  const auto full = graph::dijkstra_edge_weights(g, 0, weight);
-  const auto part = graph::dijkstra_edge_weights(g, 0, weight, &flags);
-  EXPECT_EQ(part.cost[2], full.cost[2]);  // bitwise
-  EXPECT_EQ(part.parent[2], full.parent[2]);
-  EXPECT_EQ(part.parent_edge[2], full.parent_edge[2]);
-  for (const std::size_t v : {std::size_t{5}, std::size_t{7}}) {
-    EXPECT_EQ(part.cost[v], kInf);
-    EXPECT_EQ(part.parent[v], graph::kInvalidNode);
-    EXPECT_EQ(part.parent_edge[v], graph::EdgeId{-1});
-  }
-}
-
-TEST(DijkstraEdgeWeightsTest, CsrAndSlotWeightsDoNotChangeResult) {
-  util::Rng rng(5);
-  const auto net = random_net(50, rng);
-  const Graph& g = net.graph;
-  std::vector<double> weight(static_cast<std::size_t>(g.num_edges()));
-  for (double& w : weight) w = rng.uniform(0.1, 2.0);
-
-  const graph::CsrAdjacency adj = graph::build_csr(g);
-  std::vector<double> slot(adj.incident.size());
-  for (std::size_t k = 0; k < slot.size(); ++k) {
-    slot[k] = weight[static_cast<std::size_t>(adj.incident[k])];
-  }
-  const auto plain = graph::dijkstra_edge_weights(g, 4, weight);
-  const auto fast =
-      graph::dijkstra_edge_weights(g, 4, weight, nullptr, &adj, &slot);
-  EXPECT_EQ(plain.cost, fast.cost);  // bitwise, via vector ==
-  EXPECT_EQ(plain.parent, fast.parent);
-  EXPECT_EQ(plain.parent_edge, fast.parent_edge);
-}
-
 TEST(BuildCsrTest, MatchesAdjacencyLists) {
   const Graph g = graph::make_grid(5, 6);
   const graph::CsrAdjacency adj = graph::build_csr(g);
@@ -340,10 +273,6 @@ TEST(SolveConflEquivalenceTest, ActiveSetMatchesReferenceOnRandomInstances) {
     if (options.growth == confl::GrowthMode::kFixedStep) {
       options.alpha_step = rng.bernoulli(0.5) ? 1.0 : 0.25;
     }
-    // The equivalence contract holds under either Steiner engine (both
-    // solvers call the same Phase 2 with the same options).
-    options.steiner_engine = trial % 2 == 0 ? steiner::Engine::kClosureKmb
-                                            : steiner::Engine::kVoronoi;
     SCOPED_TRACE("trial " + std::to_string(trial));
     const confl::ConflSolution fast = confl::solve_confl(instance, options);
     const confl::ConflSolution ref =
@@ -375,9 +304,8 @@ TEST(SolveConflEquivalenceTest, ThreadCountDoesNotChangeSolution) {
   expect_identical_solutions(serial, eight);
 }
 
-// The same contract under the Voronoi Steiner engine: it may select a
-// different (equally valid) Phase 2 tree than KMB, but that tree must be
-// identical at every thread count and across both solver engines.
+// The Phase 2 Voronoi tree is identical at every thread count and across
+// both solver engines.
 TEST(SolveConflEquivalenceTest, VoronoiEngineThreadInvariantAndMatchesRef) {
   const Graph g = graph::make_grid(10, 10);
   core::FairCachingProblem problem;
@@ -391,7 +319,6 @@ TEST(SolveConflEquivalenceTest, VoronoiEngineThreadInvariantAndMatchesRef) {
 
   confl::ConflOptions options;
   options.growth = confl::GrowthMode::kEventDriven;
-  options.steiner_engine = steiner::Engine::kVoronoi;
   options.threads = 1;
   const confl::ConflSolution serial = confl::solve_confl(instance, options);
   options.threads = 8;
@@ -475,41 +402,63 @@ TEST(ApproxDeterminismTest, UnlimitedBudgetSolveMatchesRunAtAnyThreadCount) {
   util::set_parallel_threads(0);  // restore default
 }
 
-TEST(SteinerTest, ThreadCountDoesNotChangeTree) {
-  util::Rng rng(99);
-  const auto net = random_net(80, rng);
-  const Graph& g = net.graph;
-  std::vector<double> weight(static_cast<std::size_t>(g.num_edges()));
-  for (double& w : weight) w = rng.uniform(0.2, 3.0);
-  std::vector<NodeId> terminals;
-  for (NodeId v = 0; v < g.num_nodes(); v += 5) terminals.push_back(v);
+// Builds one tree per terminal set concurrently, each worker writing only
+// its own slot, at 2 and 8 threads, and expects every tree to equal the
+// serial build: the construction shares no state between calls.
+void expect_concurrent_trees_match_serial(
+    const Graph& g, const std::vector<double>& weight,
+    const std::vector<std::vector<NodeId>>& terminal_sets) {
+  std::vector<steiner::SteinerTree> serial;
+  for (const auto& terminals : terminal_sets) {
+    serial.push_back(steiner::steiner_mst_approx(g, weight, terminals));
+  }
+  for (const int threads : {2, 8}) {
+    std::vector<steiner::SteinerTree> parallel(terminal_sets.size());
+    util::parallel_for(
+        terminal_sets.size(),
+        [&](std::size_t i) {
+          parallel[i] =
+              steiner::steiner_mst_approx(g, weight, terminal_sets[i]);
+        },
+        threads);
+    for (std::size_t i = 0; i < serial.size(); ++i) {
+      EXPECT_EQ(serial[i].edges, parallel[i].edges) << "set " << i;
+      EXPECT_EQ(serial[i].cost, parallel[i].cost) << "set " << i;  // bitwise
+    }
+  }
+}
 
-  const auto serial = steiner::steiner_mst_approx(g, weight, terminals, 1);
-  const auto parallel = steiner::steiner_mst_approx(g, weight, terminals, 8);
-  EXPECT_EQ(serial.edges, parallel.edges);
-  EXPECT_EQ(serial.cost, parallel.cost);  // bitwise
+// Unit weights on a grid: every terminal pair has many equal-cost paths,
+// so the trees rest entirely on the sweep's tie-breaking.
+TEST(SteinerTest, ThreadCountDoesNotChangeTree) {
+  const Graph g = graph::make_grid(12, 12);
+  const std::vector<double> weight(static_cast<std::size_t>(g.num_edges()),
+                                   1.0);
+  std::vector<std::vector<NodeId>> terminal_sets(7);
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    terminal_sets[static_cast<std::size_t>(v % 7)].push_back(v);
+  }
+  expect_concurrent_trees_match_serial(g, weight, terminal_sets);
 }
 
 TEST(SteinerTest, VoronoiEngineThreadCountDoesNotChangeTree) {
-  // The Voronoi sweep itself is serial, but the engine must honour the
-  // same end-to-end thread-invariance contract as KMB.
   util::Rng rng(99);
   const auto net = random_net(80, rng);
   const Graph& g = net.graph;
   std::vector<double> weight(static_cast<std::size_t>(g.num_edges()));
   for (double& w : weight) w = rng.uniform(0.2, 3.0);
-  std::vector<NodeId> terminals;
-  for (NodeId v = 0; v < g.num_nodes(); v += 5) terminals.push_back(v);
-
-  const auto serial = steiner::steiner_mst_approx(
-      g, weight, terminals, 1, steiner::Engine::kVoronoi);
-  const auto parallel = steiner::steiner_mst_approx(
-      g, weight, terminals, 8, steiner::Engine::kVoronoi);
-  EXPECT_EQ(serial.edges, parallel.edges);
-  EXPECT_EQ(serial.cost, parallel.cost);  // bitwise
-  // Never worse than twice the KMB tree (both ≤ 2·OPT, and KMB ≥ OPT).
-  const auto kmb = steiner::steiner_mst_approx(g, weight, terminals);
-  EXPECT_LE(serial.cost, 2.0 * kmb.cost + 1e-9);
+  std::vector<std::vector<NodeId>> terminal_sets(5);
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    terminal_sets[static_cast<std::size_t>(v % 5)].push_back(v);
+  }
+  expect_concurrent_trees_match_serial(g, weight, terminal_sets);
+  // Never worse than twice the KMB oracle's tree (both ≤ 2·OPT, and the
+  // oracle's ≥ OPT).
+  for (const auto& terminals : terminal_sets) {
+    const auto tree = steiner::steiner_mst_approx(g, weight, terminals);
+    const auto kmb = test_oracle::kmb_steiner_tree(g, weight, terminals);
+    EXPECT_LE(tree.cost, 2.0 * kmb.cost + 1e-9);
+  }
 }
 
 }  // namespace

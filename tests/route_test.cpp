@@ -15,6 +15,7 @@
 #include <ostream>
 #include <set>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "baselines/adaptive_gradient.h"
@@ -22,6 +23,8 @@
 #include "core/route.h"
 #include "graph/generators.h"
 #include "graph/shortest_paths.h"
+#include "metrics/contention.h"
+#include "metrics/evaluator.h"
 #include "sim/serving.h"
 #include "sim/workload.h"
 #include "util/rng.h"
@@ -326,6 +329,98 @@ TEST(RouteTest, RejectsNegativeChunkAndMismatchedState) {
   EXPECT_EQ(router.route(engine, wrong, 3, 0).code(),
             util::StatusCode::kInvalidInput);
   EXPECT_TRUE(router.route(engine, state, 4, 0).ok());
+}
+
+// ------------------------------------------------- evaluator cross-layer
+
+// The evaluator's access phase and the serving Router are one definition
+// of the cheapest source: for every (chunk, requester) of a placement, the
+// Router's source and cost equal the evaluator's assignment and the
+// contention cost of that assignment, and the routed costs sum to the
+// evaluator's access cost bit for bit.
+void expect_router_matches_evaluator(const core::FairCachingProblem& problem,
+                                     const CacheState& state,
+                                     const std::string& where) {
+  const Graph& g = *problem.network;
+  metrics::EvaluatorOptions options;
+  options.num_chunks = problem.num_chunks;
+  const metrics::PlacementEvaluation eval =
+      metrics::evaluate_placement(g, state, options);
+  const metrics::ContentionMatrix contention(g, state);
+  core::ChunkInstanceEngine engine(problem, core::InstanceOptions{});
+  core::Router router;
+  for (ChunkId c = 0; c < problem.num_chunks; ++c) {
+    const metrics::ChunkEvaluation& ce =
+        eval.per_chunk[static_cast<std::size_t>(c)];
+    double access = 0.0;
+    for (NodeId j = 0; j < g.num_nodes(); ++j) {
+      const auto routed = router.route(engine, state, j, c);
+      ASSERT_TRUE(routed.ok()) << where;
+      const NodeId want = ce.assignment[static_cast<std::size_t>(j)];
+      ASSERT_EQ(routed.value().source, want)
+          << where << ", chunk " << c << ", requester " << j;
+      const double want_cost = j == want ? 0.0 : contention.cost(want, j);
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(routed.value().cost),
+                std::bit_cast<std::uint64_t>(want_cost))
+          << where << ", chunk " << c << ", requester " << j;
+      if (j != problem.producer) access += routed.value().cost;
+    }
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(access),
+              std::bit_cast<std::uint64_t>(ce.access_cost))
+        << where << ", chunk " << c;
+  }
+}
+
+// Connects every component of `g` to node 0's component.
+void stitch_components(Graph& g) {
+  const std::vector<int> labels = g.component_labels();
+  std::set<int> joined = {labels[0]};
+  for (NodeId v = 1; v < g.num_nodes(); ++v) {
+    if (joined.insert(labels[static_cast<std::size_t>(v)]).second) {
+      g.add_edge(0, v);
+    }
+  }
+}
+
+TEST(RouteTest, RouterMatchesEvaluatorOnSolvedPlacements) {
+  Graph grid = graph::make_grid(6, 6);
+  util::Rng rng(0xe7a1);
+  Graph er = graph::make_erdos_renyi(48, 0.08, rng);
+  stitch_components(er);
+  for (const auto& [name, g, producer] :
+       {std::tuple<const char*, const Graph*, NodeId>{"grid6", &grid, 0},
+        std::tuple<const char*, const Graph*, NodeId>{"grid6_center", &grid,
+                                                      14},
+        std::tuple<const char*, const Graph*, NodeId>{"er48", &er, 3}}) {
+    const auto problem = make_problem(*g, producer, 4, 3);
+    const core::FairCachingResult solved =
+        core::ApproxFairCaching().run(problem);
+    expect_router_matches_evaluator(problem, solved.state, name);
+  }
+}
+
+TEST(RouteTest, RouterMatchesEvaluatorOnProducerHolderTie) {
+  // Producer 0 has degree 2 and an empty store: weight 2·(1+0) = 2.
+  // Holder 3 has degree 1 and one stored chunk: weight 1·(1+1) = 2. So
+  // requester 1 reaches both at the same cost, c(0,1) = c(3,1) = 2 + w_1.
+  // The Router keeps the holder; the producer wins only when strictly
+  // cheaper.
+  Graph g(4);
+  g.add_edge(0, 1);
+  g.add_edge(0, 2);
+  g.add_edge(1, 3);
+  const auto problem = make_problem(g, 0, 1, 1);
+  CacheState state = problem.make_initial_state();
+  state.add(3, 0);
+  const metrics::ContentionMatrix contention(g, state);
+  ASSERT_EQ(contention.cost(0, 1), contention.cost(3, 1));
+  expect_router_matches_evaluator(problem, state, "tie");
+  metrics::EvaluatorOptions options;
+  options.num_chunks = 1;
+  EXPECT_EQ(metrics::evaluate_placement(g, state, options)
+                .per_chunk[0]
+                .assignment[1],
+            3);
 }
 
 // ------------------------------------------------- external-policy serving

@@ -1,6 +1,7 @@
-// Unit + property tests for Steiner tree construction: the KMB and
-// Voronoi-partition 2-approximation engines against the exact
-// Dreyfus–Wagner oracle, plus the shared leaf-prune helper.
+// Unit + property tests for Steiner tree construction: the Voronoi-partition
+// (Mehlhorn) 2-approximation against the exact Dreyfus–Wagner oracle and
+// the metric-closure (KMB) oracle of steiner_oracle.h, plus the leaf-prune
+// helper.
 
 #include "steiner/steiner.h"
 
@@ -9,8 +10,12 @@
 #include <bit>
 #include <cstdint>
 #include <set>
+#include <string>
+#include <tuple>
+#include <utility>
 
 #include "graph/generators.h"
+#include "steiner_oracle.h"
 #include "util/rng.h"
 
 namespace faircache::steiner {
@@ -43,6 +48,147 @@ void expect_valid_tree(const Graph& g, const SteinerTree& tree,
   if (!tree.edges.empty()) {
     EXPECT_EQ(nodes.size(), tree.edges.size() + 1);
   }
+}
+
+// One Steiner instance: graph, edge weights, terminals.
+struct Instance {
+  Graph g;
+  std::vector<double> w;
+  std::vector<NodeId> terminals;
+};
+
+// SteinerRatioTest's instance `param`: 8–24 nodes, 2–6 random terminals.
+Instance make_ratio_instance(int param) {
+  util::Rng rng(static_cast<std::uint64_t>(param) * 48271 + 1);
+  graph::RandomGeometricConfig config;
+  config.num_nodes = static_cast<int>(rng.uniform_int(8, 24));
+  config.radius = rng.uniform(0.3, 0.5);
+  Instance inst;
+  inst.g = graph::make_random_geometric(config, rng).graph;
+  inst.w.resize(static_cast<std::size_t>(inst.g.num_edges()));
+  for (auto& x : inst.w) x = rng.uniform(0.5, 4.0);
+  const int k =
+      static_cast<int>(rng.uniform_int(2, std::min(6, inst.g.num_nodes())));
+  std::vector<NodeId> all(static_cast<std::size_t>(inst.g.num_nodes()));
+  for (NodeId v = 0; v < inst.g.num_nodes(); ++v) {
+    all[static_cast<std::size_t>(v)] = v;
+  }
+  rng.shuffle(all);
+  inst.terminals.assign(all.begin(), all.begin() + k);
+  return inst;
+}
+
+// Fixture families for the oracle's pinned hashes.
+std::vector<Instance> grid3_corners() {
+  Instance inst;
+  inst.g = make_grid(3, 3);
+  inst.w = unit_weights(inst.g);
+  inst.terminals = {0, 2, 6, 8};
+  return {inst};
+}
+
+std::vector<Instance> grid4_weighted() {
+  util::Rng rng(7);
+  Instance inst;
+  inst.g = make_grid(4, 4);
+  inst.w.resize(static_cast<std::size_t>(inst.g.num_edges()));
+  for (auto& x : inst.w) x = rng.uniform(0.5, 4.0);
+  inst.terminals = {0, 5, 10, 15};
+  return {inst};
+}
+
+// Triangle 0-1-2 with an expensive chord 0-2 and a cheap detour 0-3-2.
+std::vector<Instance> weighted_detour() {
+  Instance inst;
+  inst.g = Graph(4);
+  inst.g.add_edge(0, 1);
+  inst.g.add_edge(1, 2);
+  inst.g.add_edge(0, 2);
+  inst.g.add_edge(0, 3);
+  inst.g.add_edge(3, 2);
+  inst.w = {5.0, 5.0, 100.0, 1.0, 1.0};
+  inst.terminals = {0, 2};
+  return {inst};
+}
+
+// Unit weights on a 20×20 grid: equal-cost paths everywhere, so the pin
+// covers the tie-breaking of every step.
+std::vector<Instance> grid20_unit() {
+  Instance inst;
+  inst.g = make_grid(20, 20);
+  inst.w = unit_weights(inst.g);
+  for (NodeId v = 0; v < inst.g.num_nodes(); v += 37) {
+    inst.terminals.push_back(v);
+  }
+  return {inst};
+}
+
+// Small integer weights on random geometric graphs: ties between
+// shortest paths are common, and on several of these instances the KMB
+// tree and the Voronoi tree differ.
+std::vector<Instance> geo_integer() {
+  std::vector<Instance> family;
+  for (int seed = 0; seed < 40; ++seed) {
+    util::Rng rng(static_cast<std::uint64_t>(seed));
+    graph::RandomGeometricConfig config;
+    config.num_nodes = 20 + seed;
+    config.radius = 0.35;
+    Instance inst;
+    inst.g = graph::make_random_geometric(config, rng).graph;
+    inst.w.resize(static_cast<std::size_t>(inst.g.num_edges()));
+    for (auto& x : inst.w) x = static_cast<double>(rng.uniform_int(1, 3));
+    for (NodeId v = 0; v < inst.g.num_nodes(); v += 3 + seed % 4) {
+      inst.terminals.push_back(v);
+    }
+    family.push_back(std::move(inst));
+  }
+  return family;
+}
+
+// Ten random geometric graphs of 12–60 nodes with weights in [0.5, 4) and
+// every fourth node a terminal.
+std::vector<Instance> geo_trials() {
+  util::Rng rng(314);
+  std::vector<Instance> family;
+  for (int trial = 0; trial < 10; ++trial) {
+    graph::RandomGeometricConfig config;
+    config.num_nodes = static_cast<int>(rng.uniform_int(12, 60));
+    config.radius = 0.35;
+    Instance inst;
+    inst.g = graph::make_random_geometric(config, rng).graph;
+    inst.w.resize(static_cast<std::size_t>(inst.g.num_edges()));
+    for (auto& x : inst.w) x = rng.uniform(0.5, 4.0);
+    for (NodeId v = 0; v < inst.g.num_nodes(); v += 4) {
+      inst.terminals.push_back(v);
+    }
+    family.push_back(std::move(inst));
+  }
+  return family;
+}
+
+std::vector<Instance> ratio_instances() {
+  std::vector<Instance> family;
+  for (int param = 0; param < 30; ++param) {
+    family.push_back(make_ratio_instance(param));
+  }
+  return family;
+}
+
+constexpr std::uint64_t kFnvBasis = 14695981039346656037ULL;
+
+std::uint64_t fnv1a(std::uint64_t h, std::uint64_t x) {
+  for (int b = 0; b < 8; ++b) {
+    h ^= (x >> (8 * b)) & 0xff;
+    h *= 1099511628211ULL;
+  }
+  return h;
+}
+
+// Chains one tree's edge ids, edge count and cost bits onto `h`.
+std::uint64_t tree_hash(std::uint64_t h, const SteinerTree& tree) {
+  for (EdgeId e : tree.edges) h = fnv1a(h, static_cast<std::uint64_t>(e));
+  h = fnv1a(h, tree.edges.size());
+  return fnv1a(h, std::bit_cast<std::uint64_t>(tree.cost));
 }
 
 TEST(SteinerApproxTest, SingleTerminalEmptyTree) {
@@ -102,9 +248,8 @@ TEST(SteinerApproxTest, DisconnectedTerminalsRejected) {
   EXPECT_THROW(
       steiner_mst_approx(g, unit_weights(g), {0, 3}),
       util::CheckError);
-  EXPECT_THROW(
-      steiner_mst_approx(g, unit_weights(g), {0, 3}, 0, Engine::kVoronoi),
-      util::CheckError);
+  EXPECT_THROW(test_oracle::kmb_steiner_tree(g, unit_weights(g), {0, 3}),
+               util::CheckError);
 }
 
 // ------------------------------------------------ Voronoi engine fixtures --
@@ -112,14 +257,10 @@ TEST(SteinerApproxTest, DisconnectedTerminalsRejected) {
 TEST(SteinerVoronoiTest, MatchesKnownGridCosts) {
   const Graph g = make_grid(3, 3);
   const auto w = unit_weights(g);
-  EXPECT_TRUE(
-      steiner_mst_approx(g, w, {4}, 0, Engine::kVoronoi).edges.empty());
-  EXPECT_DOUBLE_EQ(
-      steiner_mst_approx(g, w, {0, 8}, 0, Engine::kVoronoi).cost, 4.0);
-  EXPECT_DOUBLE_EQ(
-      steiner_mst_approx(g, w, {0, 8, 0, 8}, 0, Engine::kVoronoi).cost, 4.0);
-  const auto corners =
-      steiner_mst_approx(g, w, {0, 2, 6, 8}, 0, Engine::kVoronoi);
+  EXPECT_TRUE(steiner_mst_approx(g, w, {4}).edges.empty());
+  EXPECT_DOUBLE_EQ(steiner_mst_approx(g, w, {0, 8}).cost, 4.0);
+  EXPECT_DOUBLE_EQ(steiner_mst_approx(g, w, {0, 8, 0, 8}).cost, 4.0);
+  const auto corners = steiner_mst_approx(g, w, {0, 2, 6, 8});
   expect_valid_tree(g, corners, {0, 2, 6, 8});
   EXPECT_GE(corners.cost, 6.0 - 1e-9);
   EXPECT_LE(corners.cost, 2.0 * 6.0 + 1e-9);
@@ -127,13 +268,12 @@ TEST(SteinerVoronoiTest, MatchesKnownGridCosts) {
 
 // Pinned deterministic outputs: the Voronoi engine's tie-breaking is part
 // of its determinism contract, so these exact edge sets are golden. Any
-// change here is a behaviour change for every kVoronoi consumer, not a
+// change here is a behaviour change for every tree consumer, not a
 // refactor.
 TEST(SteinerVoronoiTest, PinnedDeterministicOutputs) {
   {
     const Graph g = make_grid(3, 3);
-    const auto tree = steiner_mst_approx(g, unit_weights(g), {0, 2, 6, 8}, 0,
-                                         Engine::kVoronoi);
+    const auto tree = steiner_mst_approx(g, unit_weights(g), {0, 2, 6, 8});
     EXPECT_EQ(tree.edges, (std::vector<EdgeId>{0, 1, 2, 4, 6, 9}));
     EXPECT_EQ(std::bit_cast<std::uint64_t>(tree.cost),
               0x4018000000000000ULL);  // 6.0
@@ -143,37 +283,71 @@ TEST(SteinerVoronoiTest, PinnedDeterministicOutputs) {
     const Graph g = make_grid(4, 4);
     std::vector<double> w(static_cast<std::size_t>(g.num_edges()));
     for (auto& x : w) x = rng.uniform(0.5, 4.0);
-    const auto tree =
-        steiner_mst_approx(g, w, {0, 5, 10, 15}, 0, Engine::kVoronoi);
+    const auto tree = steiner_mst_approx(g, w, {0, 5, 10, 15});
     EXPECT_EQ(tree.edges, (std::vector<EdgeId>{1, 7, 10, 16, 18, 20}));
     EXPECT_EQ(std::bit_cast<std::uint64_t>(tree.cost),
               0x40209072dc3aa384ULL);  // 8.2821263143139348
   }
 }
 
-// The Voronoi tree never costs more than twice the KMB tree: both are
-// ≤ 2·OPT and KMB ≥ OPT. (The CI engine-smoke harness enforces the same
-// bound on its fixture set.)
+// The Voronoi tree and the KMB oracle's tree are both ≤ 2·OPT and ≥ OPT,
+// so neither may cost more than twice the other. Random geometric graphs
+// with real and small-integer weights, and unit-weight grids where ties
+// are everywhere.
 TEST(SteinerVoronoiTest, WithinTwiceKmbOnRandomInstances) {
-  util::Rng rng(314);
-  for (int trial = 0; trial < 10; ++trial) {
-    graph::RandomGeometricConfig config;
-    config.num_nodes = static_cast<int>(rng.uniform_int(12, 60));
-    config.radius = 0.35;
-    const auto net = graph::make_random_geometric(config, rng);
-    std::vector<double> w(static_cast<std::size_t>(net.graph.num_edges()));
-    for (auto& x : w) x = rng.uniform(0.5, 4.0);
-    std::vector<NodeId> terminals;
-    for (NodeId v = 0; v < net.graph.num_nodes(); v += 4) {
-      terminals.push_back(v);
+  std::vector<Instance> instances = geo_trials();
+  for (Instance& inst : geo_integer()) instances.push_back(std::move(inst));
+  for (int side = 4; side <= 12; side += 4) {
+    Instance inst;
+    inst.g = make_grid(side, side);
+    inst.w = unit_weights(inst.g);
+    for (NodeId v = 0; v < inst.g.num_nodes(); v += 5) {
+      inst.terminals.push_back(v);
     }
-    SCOPED_TRACE("trial " + std::to_string(trial));
-    const auto kmb = steiner_mst_approx(net.graph, w, terminals);
-    const auto vor =
-        steiner_mst_approx(net.graph, w, terminals, 0, Engine::kVoronoi);
-    expect_valid_tree(net.graph, vor, terminals);
-    EXPECT_LE(vor.cost, 2.0 * kmb.cost + 1e-9);
+    instances.push_back(std::move(inst));
   }
+  for (std::size_t k = 0; k < instances.size(); ++k) {
+    SCOPED_TRACE("instance " + std::to_string(k));
+    const Instance& inst = instances[k];
+    const auto kmb =
+        test_oracle::kmb_steiner_tree(inst.g, inst.w, inst.terminals);
+    const auto vor = steiner_mst_approx(inst.g, inst.w, inst.terminals);
+    expect_valid_tree(inst.g, vor, inst.terminals);
+    expect_valid_tree(inst.g, kmb, inst.terminals);
+    EXPECT_LE(vor.cost, 2.0 * kmb.cost + 1e-9);
+    EXPECT_LE(kmb.cost, 2.0 * vor.cost + 1e-9);
+  }
+}
+
+// The oracle reproduces, bit for bit, the trees the library's former
+// metric-closure engine built on these fixtures: each hash chains every
+// tree's edge ids, edge count and cost bits over one fixture family and
+// was recorded from that engine. On some geo_integer instances (four when
+// recorded) the KMB tree differs from the Voronoi tree, so the pin cannot
+// pass by the oracle falling back to the library.
+TEST(SteinerOracleTest, ReproducesClosureKmbTrees) {
+  const std::tuple<const char*, std::vector<Instance>, std::uint64_t>
+      families[] = {
+          {"grid3_corners", grid3_corners(), 0x7f2c68ea643915a3ULL},
+          {"grid4_weighted", grid4_weighted(), 0x0cb5e0c239f81df8ULL},
+          {"weighted_detour", weighted_detour(), 0xd93fb2dfd4aeef60ULL},
+          {"grid20_unit", grid20_unit(), 0x9da05671020f57e1ULL},
+          {"geo_integer", geo_integer(), 0x948b4d4229d0762dULL},
+          {"geo_trials", geo_trials(), 0xc6707140f22de1d2ULL},
+          {"ratio_instances", ratio_instances(), 0xc6302dea57792016ULL}};
+  int differs_from_voronoi = 0;
+  for (const auto& [name, family, pinned] : families) {
+    std::uint64_t h = kFnvBasis;
+    for (const Instance& inst : family) {
+      const SteinerTree kmb =
+          test_oracle::kmb_steiner_tree(inst.g, inst.w, inst.terminals);
+      h = tree_hash(h, kmb);
+      differs_from_voronoi +=
+          kmb.edges != steiner_mst_approx(inst.g, inst.w, inst.terminals).edges;
+    }
+    EXPECT_EQ(h, pinned) << name << std::hex << ": got 0x" << h;
+  }
+  EXPECT_GT(differs_from_voronoi, 0);
 }
 
 // ------------------------------------------------------------ leaf prune --
@@ -245,35 +419,22 @@ TEST(SteinerExactTest, MatrixPortIsBitIdenticalOnPinnedFixture) {
             0x4030996916345097ULL);  // 16.599259746334237
 }
 
-// Property sweep: on random weighted graphs, approx is within 2× of exact
-// and never below it; the approx tree is structurally valid.
+// Property sweep: on random weighted graphs, the Voronoi tree and the KMB
+// oracle are each within 2× of exact and never below it, and structurally
+// valid.
 class SteinerRatioTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(SteinerRatioTest, ApproxWithinTwiceExact) {
-  util::Rng rng(static_cast<std::uint64_t>(GetParam()) * 48271 + 1);
-  graph::RandomGeometricConfig config;
-  config.num_nodes = static_cast<int>(rng.uniform_int(8, 24));
-  config.radius = rng.uniform(0.3, 0.5);
-  const auto net = graph::make_random_geometric(config, rng);
-  std::vector<double> w(static_cast<std::size_t>(net.graph.num_edges()));
-  for (auto& x : w) x = rng.uniform(0.5, 4.0);
-
-  const int k = static_cast<int>(
-      rng.uniform_int(2, std::min(6, net.graph.num_nodes())));
-  std::vector<NodeId> all(static_cast<std::size_t>(net.graph.num_nodes()));
-  for (NodeId v = 0; v < net.graph.num_nodes(); ++v) {
-    all[static_cast<std::size_t>(v)] = v;
-  }
-  rng.shuffle(all);
-  std::vector<NodeId> terminals(all.begin(), all.begin() + k);
-
+  const Instance inst = make_ratio_instance(GetParam());
   const double exact =
-      steiner_exact_dreyfus_wagner(net.graph, w, terminals);
-  for (Engine engine : {Engine::kClosureKmb, Engine::kVoronoi}) {
-    SCOPED_TRACE(engine == Engine::kVoronoi ? "kVoronoi" : "kClosureKmb");
-    const auto approx =
-        steiner_mst_approx(net.graph, w, terminals, 0, engine);
-    expect_valid_tree(net.graph, approx, terminals);
+      steiner_exact_dreyfus_wagner(inst.g, inst.w, inst.terminals);
+  const std::pair<const char*, SteinerTree> approxes[2] = {
+      {"voronoi", steiner_mst_approx(inst.g, inst.w, inst.terminals)},
+      {"kmb oracle",
+       test_oracle::kmb_steiner_tree(inst.g, inst.w, inst.terminals)}};
+  for (const auto& [name, approx] : approxes) {
+    SCOPED_TRACE(name);
+    expect_valid_tree(inst.g, approx, inst.terminals);
     EXPECT_GE(approx.cost, exact - 1e-6);
     EXPECT_LE(approx.cost, 2.0 * exact + 1e-6);
   }
