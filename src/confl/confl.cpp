@@ -1,21 +1,19 @@
 #include "confl/confl.h"
 
 #include <algorithm>
-#include <climits>
-#include <cmath>
 #include <cstddef>
 #include <cstdint>
-#include <limits>
+#include <functional>
 #include <queue>
 #include <utility>
 
+#include "confl/confl_internal.h"
 #include "graph/shortest_paths.h"
 #include "util/parallel.h"
 
 namespace faircache::confl {
 
 using graph::kInfCost;
-using graph::kInvalidNode;
 using graph::NodeId;
 
 util::Status validate_confl_instance(const ConflInstance& instance) {
@@ -84,411 +82,136 @@ util::Status validate_confl_options(const ConflOptions& options) {
   if (options.span_threshold < 1) {
     return Status::invalid_input("span threshold must be ≥ 1");
   }
+  if (options.max_rounds < 0) {
+    return Status::invalid_input("max_rounds must be ≥ 0");
+  }
   return Status();
 }
 
 namespace {
 
-void check_status(const util::Status& status, const char* expr) {
-  if (!status.ok()) {
-    util::check_failed(expr, __FILE__, __LINE__, status.message());
-  }
-}
-
 void validate(const ConflInstance& instance) {
-  check_status(validate_confl_instance(instance),
-               "validate_confl_instance(instance).ok()");
+  if (util::Status s = validate_confl_instance(instance); !s.ok()) {
+    util::check_failed("validate_confl_instance(instance).ok()", __FILE__,
+                       __LINE__, s.message());
+  }
 }
 
-void check_options(const ConflOptions& options) {
-  check_status(validate_confl_options(options),
-               "validate_confl_options(options).ok()");
-}
+using internal::DenseRows;
+using internal::Slot;
+using internal::SparseRows;
+using internal::TightEntry;
+using internal::TightList;
 
-// A (facility, client) pair's position in its cost store: i*n + j for the
-// dense matrix, the CSR entry index for the sparse store. Dual state keyed
-// per pair (γ, tight lists, event arrays) is indexed by slot, so both
-// representations share one engine.
-using Slot = std::int64_t;
+// Per-facility tight lists: the ascending (slot, γ) entries of the clients
+// tight with each openable facility. Entries of clients that froze since
+// are dropped lazily by the next walk that passes over them.
+class TightStore {
+ public:
+  explicit TightStore(std::size_t n) : lists_(n) {}
 
-// The two cost-row views the growth engine is templated over. Contract:
-// row slots [row_begin(i), row_end(i)) ascend with client id, so slot
-// iteration preserves the reference engine's ascending-client
-// floating-point accumulation order.
-struct DenseRows {
-  const double* c;  // n×n row-major
-  Slot n;
-  static constexpr bool kDense = true;
-  Slot pairs() const { return n * n; }
-  Slot row_begin(NodeId i) const { return static_cast<Slot>(i) * n; }
-  Slot row_end(NodeId i) const { return (static_cast<Slot>(i) + 1) * n; }
-  double cost(Slot s) const { return c[s]; }
-  NodeId col(Slot s, Slot rb) const { return static_cast<NodeId>(s - rb); }
-};
-
-struct SparseRows {
-  const metrics::SparseContention* s;  // pairs absent from rows are +inf
-  static constexpr bool kDense = false;
-  Slot pairs() const { return static_cast<Slot>(s->packed.size()); }
-  Slot row_begin(NodeId i) const { return s->row_begin(i); }
-  Slot row_end(NodeId i) const { return s->row_end(i); }
-  double cost(Slot t) const { return s->cost[static_cast<std::size_t>(t)]; }
-  NodeId col(Slot t, Slot /*rb*/) const {
-    return metrics::SparseContention::col_of(
-        s->packed[static_cast<std::size_t>(t)]);
-  }
-};
-
-template <typename Rows>
-int derive_max_rounds(const ConflInstance& instance,
-                      const ConflOptions& options, const Rows& rows) {
-  if (options.max_rounds != 0) return options.max_rounds;
-  const int n = instance.network->num_nodes();
-  if (options.growth == GrowthMode::kEventDriven) {
-    // Computed wide: the quadratic bound overflows int from n ≈ 33k.
-    const long long bound = 2LL * n * n + 4LL * n + 16;
-    return bound > INT_MAX ? INT_MAX : static_cast<int>(bound);
-  }
-  // Fixed step: α only needs to reach the cost of connecting straight to
-  // the root, after which every client freezes.
-  double worst = 0.0;
-  const Slot rb = rows.row_begin(instance.root);
-  const Slot re = rows.row_end(instance.root);
-  for (Slot s = rb; s < re; ++s) {
-    const double to_root = rows.cost(s);
-    if (to_root != kInfCost) worst = std::max(worst, to_root);
-  }
-  return static_cast<int>(std::ceil(worst / options.alpha_step)) + 2;
-}
-
-// Runs Phase 2 (Steiner tree over the ADMIN set, cheapest-facility
-// re-assignment) and fills the cost fields of `solution`. `admins` is
-// consumed (sorted in place). Non-OK when the budget expires mid-phase or
-// the ADMIN set cannot be connected to the root.
-template <typename Rows>
-util::Status finish_solution(const ConflInstance& instance,
-                             const util::RunBudget& budget,
-                             std::vector<NodeId>& admins, const Rows& rows,
-                             ConflSolution& solution) {
-  const int n = instance.network->num_nodes();
-  const auto un = static_cast<std::size_t>(n);
-  const NodeId root = instance.root;
-  auto weight = [&](NodeId j) {
-    return instance.client_weight.empty()
-               ? 1.0
-               : instance.client_weight[static_cast<std::size_t>(j)];
-  };
-
-  std::sort(admins.begin(), admins.end());
-  solution.open_facilities = admins;
-
-  for (NodeId i : admins) {
-    solution.facility_cost +=
-        instance.facility_cost[static_cast<std::size_t>(i)];
+  TightList& operator[](NodeId i) {
+    return lists_[static_cast<std::size_t>(i)];
   }
 
-  if (!admins.empty()) {
-    std::vector<NodeId> terminals = admins;
-    terminals.push_back(root);
-    std::vector<double> scaled = instance.edge_cost;
-    for (double& w : scaled) w *= instance.edge_scale;
-    util::Result<steiner::SteinerTree> tree = steiner::try_steiner_mst_approx(
-        *instance.network, scaled, std::move(terminals), budget);
-    if (!tree.ok()) return tree.status();
-    solution.tree = std::move(tree).value();
-    solution.tree_cost = solution.tree.cost;
-  }
-  if (budget.expired()) return budget.status("final client assignment");
-
-  // Final assignment: cheapest facility in A ∪ {root} (never worse than the
-  // dual-growth assignment). The min is folded facility-by-facility so the
-  // scan walks whole cost rows (cache-linear) instead of columns; each
-  // client sees the facilities in the same ascending order either way, so
-  // every (best, best_i) update — and the weighted cost sum below — is the
-  // per-client loop's, comparison for comparison. The sparse fold visits
-  // only a row's materialized clients: absent pairs cost +inf, and an
-  // all-+inf tie keeps the root — a client out of every open facility's
-  // radius stays root-assigned.
-  std::vector<double> best;
-  std::vector<NodeId> best_i(un, root);
-  if constexpr (Rows::kDense) {
-    const double* root_row = rows.c + rows.row_begin(root);
-    best.assign(root_row, root_row + n);
-  } else {
-    best.assign(un, kInfCost);
-    const Slot rb = rows.row_begin(root);
-    const Slot re = rows.row_end(root);
-    for (Slot s = rb; s < re; ++s) {
-      best[static_cast<std::size_t>(rows.col(s, rb))] = rows.cost(s);
-    }
-  }
-  for (NodeId i : admins) {
-    const Slot rb = rows.row_begin(i);
-    const Slot re = rows.row_end(i);
-    for (Slot s = rb; s < re; ++s) {
-      const auto j = static_cast<std::size_t>(rows.col(s, rb));
-      const double cij = rows.cost(s);
-      if (cij < best[j] || (cij == best[j] && i < best_i[j])) {
-        best[j] = cij;
-        best_i[j] = i;
-      }
-    }
-  }
-  for (NodeId j = 0; j < n; ++j) {
-    solution.assignment[static_cast<std::size_t>(j)] =
-        best_i[static_cast<std::size_t>(j)];
-    solution.assignment_cost += weight(j) * best[static_cast<std::size_t>(j)];
-  }
-  return util::Status();
-}
-
-// Ascending-order weight sum over a facility's tight unfrozen clients —
-// the β payment rate. Both growth engines accumulate in this exact order,
-// so the payment-completion deltas below agree bitwise.
-template <typename Rows, typename WeightFn>
-double tight_rate(const std::vector<Slot>& tight, Slot rb, const Rows& rows,
-                  const WeightFn& weight) {
-  double rate = 0.0;
-  for (Slot s : tight) rate += weight(rows.col(s, rb));
-  return rate;
-}
-
-// One facility's next-event candidate, shared by the active-set engine
-// (solve_confl) and the dense reference (solve_confl_reference): while f_i
-// is uncovered, the time until payments complete; afterwards, the time
-// until the M-th SPAN request. `tight` must hold the slots of the
-// facility's tight unfrozen clients in ascending client order, `rate` must
-// equal tight_rate(tight, ...) (callers may reuse a cached value only when
-// it is bitwise equal to that re-sum), `gamma` is the flat slot-indexed γ
-// array, and `pending` is caller scratch. Returns kInfCost when the
-// facility contributes no event and 0.0 when an opening is already due.
-// The two engines once carried drifted copies of this arithmetic; it must
-// live in exactly one place, because their deltas have to agree bit for
-// bit.
-template <typename Rows, typename WeightFn>
-double facility_event_delta(double fi, double paid_i, double rate,
-                            const std::vector<Slot>& tight, Slot rb,
-                            const Rows& rows, const double* gamma,
-                            const WeightFn& weight, double beta_rate,
-                            double gamma_rate, int span_threshold,
-                            std::vector<double>& pending) {
-  if (tight.empty()) return kInfCost;
-  if (paid_i + 1e-12 < fi) {
-    // Payment completion (rate = summed weights of tight clients).
-    if (rate > 0) return (fi - paid_i) / (rate * beta_rate);
-    return kInfCost;
-  }
-  // M-th SPAN.
-  int spans = 0;
-  pending.clear();
-  for (Slot s : tight) {
-    const double gij = gamma[s];
-    const double cij = rows.cost(s);
-    if (gij + 1e-12 >= cij) {
-      ++spans;
-    } else if (const double w = weight(rows.col(s, rb)); w > 0) {
-      pending.push_back((cij - gij) / (w * gamma_rate));
-    }
-  }
-  const int needed = span_threshold - spans;
-  if (needed <= 0) return 0.0;  // opening already due
-  if (needed <= static_cast<int>(pending.size())) {
-    std::nth_element(pending.begin(), pending.begin() + (needed - 1),
-                     pending.end());
-    return pending[static_cast<std::size_t>(needed - 1)];
-  }
-  return kInfCost;
-}
-
-// The active-set engine, templated over the cost-row view. Semantics (and
-// bit-for-bit arithmetic) match solve_confl_reference; the data structures
-// differ:
-//
-//   * Every unfrozen client has the same α (all grow by the same delta from
-//     0), so one scalar A replaces the per-client vector, and "client j is
-//     tight with facility i" is the monotone predicate A + 1e-12 ≥ c_ij.
-//   * `active` / `openable` are compacted id lists, so finished clients and
-//     opened facilities cost nothing in later rounds.
-//   * Each openable facility keeps the ascending list of its tight unfrozen
-//     pair slots, extended by tight *events* instead of per-round rescans:
-//     fixed-step mode buckets each pair by the round where it first becomes
-//     tight (binary search over the exact α sequence, computed lazily up to
-//     a doubling horizon so far-away pairs are never bucketed);
-//     event-driven mode keeps per-facility (c, slot)-sorted arrays with
-//     monotone cursors.
-//   * Freezing onto open facilities uses an incrementally-maintained
-//     cheapest-open-facility (c, i) per client, updated on each opening.
-//
-// Payments still walk tight slots in ascending (facility, client) order,
-// which keeps every floating-point accumulation in the reference order.
-// Under SparseRows every loop that walked a dense row walks the row's
-// candidate list instead, so a round costs O(materialized active pairs).
-template <typename Rows>
-util::Result<ConflSolution> try_solve_confl_impl(const ConflInstance& instance,
-                                                 const ConflOptions& options,
-                                                 const util::RunBudget& budget,
-                                                 const Rows& rows) {
-  const int n = instance.network->num_nodes();
-  const auto un = static_cast<std::size_t>(n);
-  const NodeId root = instance.root;
-  auto weight = [&](NodeId j) {
-    return instance.client_weight.empty()
-               ? 1.0
-               : instance.client_weight[static_cast<std::size_t>(j)];
-  };
-
-  // Client state. The root is not a client (it holds everything already).
-  std::vector<char> frozen(un, 0);
-  std::vector<NodeId> connect_to(un, kInvalidNode);
-  frozen[static_cast<std::size_t>(root)] = 1;
-  connect_to[static_cast<std::size_t>(root)] = root;
-
-  // Facility state.
-  std::vector<char> open(un, 0);
-  open[static_cast<std::size_t>(root)] = 1;  // producer pre-opened
-  std::vector<double> paid(un, 0.0);
-
-  // Dual variables: the shared α of all unfrozen clients, plus γ per
-  // materialized (facility, client) slot. β is kept only in aggregate
-  // (`paid` holds Σ_j β_ij): no step ever reads an individual β_ij — the
-  // reference's "contributed (β_ij > 0)" freeze clause is subsumed by
-  // tightness, since β only grows for tight clients and tightness is
-  // monotone.
-  double alpha = 0.0;
-  std::vector<double> gamma_store(static_cast<std::size_t>(rows.pairs()),
-                                  0.0);
-  double* gamma = gamma_store.data();
-
-  // Active client list (ascending, compacted after freezes).
-  std::vector<NodeId> active;
-  active.reserve(un);
-  for (NodeId j = 0; j < n; ++j) {
-    if (!frozen[static_cast<std::size_t>(j)]) active.push_back(j);
-  }
-  std::size_t num_active = active.size();
-
-  // Openable facility list (ascending, compacted after openings).
-  std::vector<NodeId> openable;
-  for (NodeId i = 0; i < n; ++i) {
-    if (!open[static_cast<std::size_t>(i)] &&
-        instance.facility_cost[static_cast<std::size_t>(i)] != kInfCost) {
-      openable.push_back(i);
-    }
-  }
-
-  // Cheapest open facility per client, lex-min on (cost, id); seeded with
-  // the pre-opened root (clients outside a sparse root row sit at +inf —
-  // they can only freeze once some facility with them in radius opens).
-  std::vector<double> best_open_c(un, kInfCost);
-  std::vector<NodeId> best_open_i(un, root);
-  {
-    const Slot rb = rows.row_begin(root);
-    const Slot re = rows.row_end(root);
-    for (Slot s = rb; s < re; ++s) {
-      best_open_c[static_cast<std::size_t>(rows.col(s, rb))] = rows.cost(s);
-    }
-  }
-
-  // tight[i]: ascending slots of clients tight with openable facility i.
-  // Frozen entries are skipped (and compacted away) lazily.
-  std::vector<std::vector<Slot>> tight(un);
-
-  const int max_rounds = derive_max_rounds(instance, options, rows);
-  const double beta_rate = options.beta_step / options.alpha_step;
-  const double gamma_rate = options.gamma_step / options.alpha_step;
-  const bool event = options.growth == GrowthMode::kEventDriven;
-
-  // Appends entries [mid, end) of `tl` (sorted, disjoint from the prefix)
-  // into sorted position. Almost always a plain append; merge otherwise.
-  std::vector<Slot> merge_scratch;
-  auto merge_tight_tail = [&](std::vector<Slot>& tl, std::size_t mid) {
-    if (mid == 0 || mid == tl.size() || tl[mid - 1] < tl[mid]) return;
-    merge_scratch.resize(tl.size());
-    std::merge(tl.begin(), tl.begin() + static_cast<std::ptrdiff_t>(mid),
-               tl.begin() + static_cast<std::ptrdiff_t>(mid), tl.end(),
-               merge_scratch.begin());
-    std::copy(merge_scratch.begin(), merge_scratch.end(), tl.begin());
-  };
-
-  // ---- Fixed-step tight-event scheduler ----------------------------------
-  // a_seq[k] is α after k growth rounds, computed by the same repeated
-  // addition the reference performs (so every comparison sees the exact
-  // same value). bucket[k] holds the (i, slot) pairs that first satisfy
-  // a_seq[k] + 1e-12 ≥ c_ij, in lex order; far[i] holds the slots of i
-  // whose tight round lies beyond the current horizon.
-  std::vector<double> a_seq;
-  std::vector<std::vector<std::pair<NodeId, Slot>>> bucket;
-  std::vector<std::vector<Slot>> far;
-  int horizon = -1;
-
-  auto extend_horizon = [&](int target) {
-    const int old = horizon;
-    horizon = target;
-    while (static_cast<int>(a_seq.size()) <= horizon) {
-      a_seq.push_back(a_seq.empty() ? 0.0
-                                    : a_seq.back() + options.alpha_step);
-    }
-    bucket.resize(static_cast<std::size_t>(horizon) + 1);
-    const double reach = a_seq[static_cast<std::size_t>(horizon)] + 1e-12;
-    // First k in (old, horizon] with a_seq[k] + 1e-12 ≥ c_ij; the predicate
-    // is monotone because a_seq is non-decreasing.
-    auto schedule = [&](NodeId i, Slot s, double cij) {
-      int lo = old + 1;
-      int hi = horizon;
-      while (lo < hi) {
-        const int mid = lo + (hi - lo) / 2;
-        if (a_seq[static_cast<std::size_t>(mid)] + 1e-12 >= cij) {
-          hi = mid;
-        } else {
-          lo = mid + 1;
-        }
-      }
-      bucket[static_cast<std::size_t>(lo)].emplace_back(i, s);
-    };
-    if (old < 0) {
-      // Initial pass: split each cost row directly into near-term buckets
-      // and the leftover far list, without materialising the full row as a
-      // far list first.
-      far.resize(un);
-      for (NodeId i : openable) {
-        const Slot rb = rows.row_begin(i);
-        const Slot re = rows.row_end(i);
-        auto& fr = far[static_cast<std::size_t>(i)];
-        for (Slot s = rb; s < re; ++s) {
-          const double cij = rows.cost(s);
-          if (cij == kInfCost ||
-              frozen[static_cast<std::size_t>(rows.col(s, rb))]) {
-            continue;
-          }
-          if (cij <= reach) {
-            schedule(i, s, cij);
-          } else {
-            fr.push_back(s);
-          }
-        }
-      }
+  // Restores ascending slot order after an intake appended a sorted run
+  // [mid, end) whose slots are disjoint from the prefix's. Almost always a
+  // plain append; merges otherwise.
+  void merge_tail(NodeId i, std::size_t mid) {
+    TightList& tl = (*this)[i];
+    if (mid == 0 || mid == tl.size() || tl[mid - 1].slot < tl[mid].slot) {
       return;
     }
+    scratch_.resize(tl.size());
+    const auto split = tl.begin() + static_cast<std::ptrdiff_t>(mid);
+    std::merge(tl.begin(), split, split, tl.end(), scratch_.begin(),
+               [](const TightEntry& a, const TightEntry& b) {
+                 return a.slot < b.slot;
+               });
+    std::copy(scratch_.begin(), scratch_.end(), tl.begin());
+  }
+
+ private:
+  std::vector<TightList> lists_;
+  TightList scratch_;
+};
+
+// Drops the entries of frozen clients from `tl`, keeping their order.
+template <typename Rows>
+void drop_frozen(TightList& tl, Slot rb, const Rows& rows,
+                 const std::vector<char>& frozen) {
+  std::size_t out = 0;
+  for (const TightEntry& e : tl) {
+    if (!frozen[static_cast<std::size_t>(rows.col(e.slot, rb))]) {
+      tl[out++] = e;
+    }
+  }
+  tl.resize(out);
+}
+
+// Fixed-step tight-event scheduler. alpha(k) is α after k growth rounds,
+// computed by the same repeated addition the oracle performs, so every
+// comparison sees the exact same value. Bucket k holds the (i, slot) pairs
+// that first satisfy alpha(k) + 1e-12 ≥ c_ij, in lex order, for k up to a
+// doubling horizon. Nothing else is kept per pair: each extension reads
+// the rows of the still-openable facilities once and buckets only the
+// pairs that enter the new window (old reach, new reach] and can still
+// matter, c_ij < bound[j] (see DualGrowth::bound_).
+class FixedStepScheduler {
+ public:
+  explicit FixedStepScheduler(double alpha_step) : alpha_step_(alpha_step) {}
+
+  int horizon() const { return horizon_; }
+  double alpha(int k) const { return a_seq_[static_cast<std::size_t>(k)]; }
+
+  // Extends the horizon to `target` rounds. `active` lists the unfrozen
+  // clients in ascending order.
+  template <typename Rows>
+  void extend(int target, const std::vector<NodeId>& openable,
+              const std::vector<NodeId>& active, const Rows& rows,
+              const std::vector<double>& bound) {
+    const int old = horizon_;
+    horizon_ = target;
+    while (a_seq_.size() <= static_cast<std::size_t>(horizon_)) {
+      a_seq_.push_back(a_seq_.empty() ? 0.0 : a_seq_.back() + alpha_step_);
+    }
+    bucket_.resize(static_cast<std::size_t>(horizon_) + 1);
+    const double reach = alpha(horizon_) + 1e-12;
+    const double old_reach = old < 0 ? -kInfCost : alpha(old) + 1e-12;
+    // In the window, and not dead: one rarely-taken branch per pair.
+    auto consider = [&](NodeId i, Slot s, double cij, std::size_t j) {
+      if (old_reach < cij && cij <= reach && cij < bound[j]) {
+        bucket_[first_tight_round(cij, old + 1)].emplace_back(i, s);
+      }
+    };
     for (NodeId i : openable) {
-      auto& fr = far[static_cast<std::size_t>(i)];
-      if (fr.empty()) continue;
       const Slot rb = rows.row_begin(i);
-      std::size_t out = 0;
-      for (Slot s : fr) {
-        if (frozen[static_cast<std::size_t>(rows.col(s, rb))]) continue;
-        const double cij = rows.cost(s);
-        if (cij <= reach) {
-          schedule(i, s, cij);
-        } else {
-          fr[out++] = s;
+      if constexpr (Rows::kDense) {
+        // A frozen client's pairs are all dead, so a dense row is read at
+        // the unfrozen clients' columns only (ascending ids keep the row's
+        // slot order).
+        for (NodeId j : active) {
+          consider(i, rb + j, rows.cost(rb + j), static_cast<std::size_t>(j));
+        }
+      } else {
+        const Slot re = rows.row_end(i);
+        for (Slot s = rb; s < re; ++s) {
+          consider(i, s, rows.cost(s),
+                   static_cast<std::size_t>(rows.col(s, rb)));
         }
       }
-      fr.resize(out);
     }
-  };
+  }
 
-  auto process_bucket = [&](int k) {
-    auto& b = bucket[static_cast<std::size_t>(k)];
+  // Admits the pairs first tight at round k into `tight` (skipping those
+  // whose facility opened or whose client froze since they were bucketed),
+  // calls on_admit(i) in ascending order for each facility whose list
+  // grew, and releases the bucket.
+  template <typename Rows, typename OnAdmit>
+  void admit(int k, const std::vector<char>& open,
+             const std::vector<char>& frozen, const Rows& rows,
+             TightStore& tight, const OnAdmit& on_admit) {
+    auto& b = bucket_[static_cast<std::size_t>(k)];
     std::size_t p = 0;
     while (p < b.size()) {  // entries are grouped by facility, lex order
       const NodeId i = b[p].first;
@@ -496,108 +219,133 @@ util::Result<ConflSolution> try_solve_confl_impl(const ConflInstance& instance,
       while (q < b.size() && b[q].first == i) ++q;
       if (!open[static_cast<std::size_t>(i)]) {
         const Slot rb = rows.row_begin(i);
-        auto& tl = tight[static_cast<std::size_t>(i)];
+        TightList& tl = tight[i];
         const std::size_t mid = tl.size();
         for (std::size_t t = p; t < q; ++t) {
           if (!frozen[static_cast<std::size_t>(
                   rows.col(b[t].second, rb))]) {
-            tl.push_back(b[t].second);
+            tl.push_back({b[t].second, 0.0});
           }
         }
-        merge_tight_tail(tl, mid);
+        if (tl.size() > mid) {
+          tight.merge_tail(i, mid);
+          on_admit(i);
+        }
       }
       p = q;
     }
-    b.clear();
-  };
+    std::vector<std::pair<NodeId, Slot>>().swap(b);
+  }
 
-  // ---- Event-driven tight-event scheduler --------------------------------
-  // Per-facility (c, slot)-sorted pair arrays with two monotone cursors:
-  // tight_ptr walks pairs as they satisfy α + 1e-12 ≥ c (feeding the tight
-  // lists), delta_ptr walks pairs with c ≤ α or a frozen client, leaving it
-  // on the facility's next tightness-event candidate. Slot order within a
-  // row is client order, so equal-cost ties sort exactly as the (c, j)
-  // pairs of the pre-slot engine did.
-  struct EventList {
-    std::vector<std::pair<double, Slot>> byc;
-    std::size_t tight_ptr = 0;
-    std::size_t delta_ptr = 0;
-  };
-  std::vector<EventList> events;
+ private:
+  // First round in [lo, horizon] with alpha(round) + 1e-12 ≥ c; the
+  // predicate is monotone because α is non-decreasing.
+  std::size_t first_tight_round(double c, int lo) const {
+    int hi = horizon_;
+    while (lo < hi) {
+      const int mid = lo + (hi - lo) / 2;
+      if (alpha(mid) + 1e-12 >= c) {
+        hi = mid;
+      } else {
+        lo = mid + 1;
+      }
+    }
+    return static_cast<std::size_t>(lo);
+  }
 
-  // Lazy-deletion event heap over the tightness candidates: one entry per
-  // tracked facility, keyed by the cost of the pair its delta_ptr rests on.
-  // Pair costs are static and the cursors are monotone, so a facility's key
-  // only ever increases — a popped entry is validated by advancing the
-  // cursor and re-pushed under its new key if stale. The round's tightness
-  // delta is then (top key − α), bitwise equal to the old full scan's
-  // min(c − α) because subtracting the shared α is monotone in c. Turns the
-  // per-round O(tracked) cursor sweep into O(log) amortized per event.
-  std::priority_queue<std::pair<double, NodeId>,
-                      std::vector<std::pair<double, NodeId>>, std::greater<>>
-      tight_heap;
+  double alpha_step_;
+  std::vector<double> a_seq_;
+  std::vector<std::vector<std::pair<NodeId, Slot>>> bucket_;
+  int horizon_ = -1;
+};
 
-  // Per-facility cached β payment rate (Σ weights over its tight list) with
-  // stamp invalidation: any freeze anywhere bumps `stamp` (frozen members
-  // must be dropped before summing), and an append zeroes the facility's
-  // stamp. A hit skips the facility's O(|tight|) compact-and-sum entirely;
-  // correctness needs the cached value bitwise equal to a fresh
-  // tight_rate() re-sum, which holds exactly because a valid stamp means
-  // the membership list is unchanged since the cached sum was taken.
-  std::vector<double> cached_rate(un, 0.0);
-  std::vector<std::uint64_t> rate_stamp(un, 0);
-  std::uint64_t stamp = 1;
-  // Facilities that participate in tightness events: every openable one
-  // plus everything pre-opened (the root) — a constant set, since only
-  // openable facilities ever open.
-  std::vector<NodeId> tracked;
+// Event-driven tight-event scheduler. Per-facility (c, slot)-sorted pair
+// arrays with two monotone cursors: tight_ptr walks pairs as they satisfy
+// α + 1e-12 ≥ c (feeding the tight lists), delta_ptr walks pairs with
+// c ≤ α or a frozen client, leaving it on the facility's next
+// tightness-event candidate. Slot order within a row is client order, so
+// equal-cost ties sort by client id.
+//
+// A lazy-deletion heap holds one entry per tracked facility, keyed by the
+// cost of the pair its delta_ptr rests on. Pair costs are static and the
+// cursors are monotone, so a facility's key only ever increases — a popped
+// entry is validated by advancing the cursor and re-pushed under its new
+// key if stale. The tightness delta is then (top key − α), bitwise equal
+// to a full scan's min(c − α) because subtracting the shared α is monotone
+// in c.
+class EventScheduler {
+ public:
+  // Builds the sorted pair arrays of the `tracked` facilities (every
+  // openable one plus the pre-opened root) and seeds the heap. The one
+  // O(pairs log n) step; rows are independent, so it runs in parallel.
+  template <typename Rows>
+  util::Status build(const std::vector<NodeId>& tracked, std::size_t n,
+                     const Rows& rows, int threads,
+                     const util::RunBudget& budget) {
+    lists_.resize(n);
+    util::parallel_for(
+        tracked.size(),
+        [&](std::size_t t) {
+          const NodeId i = tracked[t];
+          auto& arr = lists_[static_cast<std::size_t>(i)].byc;
+          const Slot rb = rows.row_begin(i);
+          const Slot re = rows.row_end(i);
+          arr.reserve(static_cast<std::size_t>(re - rb));
+          for (Slot s = rb; s < re; ++s) {
+            const double cij = rows.cost(s);
+            if (cij != kInfCost) arr.emplace_back(cij, s);
+          }
+          std::sort(arr.begin(), arr.end());
+        },
+        threads, budget);
+    if (budget.expired()) return budget.status("event-list build");
+    // The first query's pop-validation advances past already-tight pairs.
+    for (NodeId i : tracked) {
+      const auto& arr = lists_[static_cast<std::size_t>(i)].byc;
+      if (!arr.empty()) heap_.emplace(arr.front().first, i);
+    }
+    return util::Status();
+  }
 
-  std::vector<Slot> newly;
-  auto advance_tight_lists = [&]() {
+  // Admits every pair with α + 1e-12 ≥ c of an openable facility into
+  // `tight` (frozen clients skipped) and calls on_admit(i) in ascending
+  // order for each facility whose list grew.
+  template <typename Rows, typename OnAdmit>
+  void admit(double alpha, const std::vector<NodeId>& openable,
+             const std::vector<char>& frozen, const Rows& rows,
+             TightStore& tight, const OnAdmit& on_admit) {
     for (NodeId i : openable) {
-      auto& ev = events[static_cast<std::size_t>(i)];
+      auto& ev = lists_[static_cast<std::size_t>(i)];
       std::size_t& p = ev.tight_ptr;
       const auto& arr = ev.byc;
       if (p >= arr.size() || alpha + 1e-12 < arr[p].first) continue;
       const Slot rb = rows.row_begin(i);
-      newly.clear();
+      newly_.clear();
       while (p < arr.size() && alpha + 1e-12 >= arr[p].first) {
         if (!frozen[static_cast<std::size_t>(
                 rows.col(arr[p].second, rb))]) {
-          newly.push_back(arr[p].second);
+          newly_.push_back(arr[p].second);
         }
         ++p;
       }
-      if (newly.empty()) continue;
-      std::sort(newly.begin(), newly.end());
-      auto& tl = tight[static_cast<std::size_t>(i)];
+      if (newly_.empty()) continue;
+      std::sort(newly_.begin(), newly_.end());
+      TightList& tl = tight[i];
       const std::size_t mid = tl.size();
-      tl.insert(tl.end(), newly.begin(), newly.end());
-      merge_tight_tail(tl, mid);
-      rate_stamp[static_cast<std::size_t>(i)] = 0;  // membership changed
+      for (Slot s : newly_) tl.push_back({s, 0.0});
+      tight.merge_tail(i, mid);
+      on_admit(i);
     }
-  };
+  }
 
-  // Smallest time advance to the next event (event-driven mode). Returns 0
-  // when an event is already due (process without growing). Candidates and
-  // FP expressions are those of the reference (via facility_event_delta);
-  // min() over them is order-insensitive, so the heap-ordered tightness
-  // candidate and per-facility sorted scans give the same value.
-  auto compact_tight = [&](std::vector<Slot>& tl, Slot rb) {
-    std::size_t out = 0;
-    for (Slot s : tl) {
-      if (!frozen[static_cast<std::size_t>(rows.col(s, rb))]) tl[out++] = s;
-    }
-    tl.resize(out);
-  };
-  std::vector<double> pending;
-  auto next_event_delta = [&]() {
-    double delta = kInfCost;
-    // Tightness: pop-validate the event heap until the top entry's key
-    // matches the cost its cursor actually rests on.
-    while (!tight_heap.empty()) {
-      const auto [key, i] = tight_heap.top();
-      auto& ev = events[static_cast<std::size_t>(i)];
+  // Time from α to the next tightness event (some unfrozen client
+  // reaching c_ij with a tracked facility), or kInfCost when none is left.
+  template <typename Rows>
+  double next_tightness(double alpha, const std::vector<char>& frozen,
+                        const Rows& rows) {
+    while (!heap_.empty()) {
+      const auto [key, i] = heap_.top();
+      auto& ev = lists_[static_cast<std::size_t>(i)];
       std::size_t& p = ev.delta_ptr;
       const auto& arr = ev.byc;
       const Slot rb = rows.row_begin(i);
@@ -608,271 +356,491 @@ util::Result<ConflSolution> try_solve_confl_impl(const ConflInstance& instance,
         ++p;
       }
       if (p >= arr.size()) {  // facility has no tightness events left
-        tight_heap.pop();
+        heap_.pop();
         continue;
       }
       if (arr[p].first != key) {  // stale: re-push under the increased key
-        tight_heap.pop();
-        tight_heap.emplace(arr[p].first, i);
+        heap_.pop();
+        heap_.emplace(arr[p].first, i);
         continue;
       }
-      delta = arr[p].first - alpha;
-      break;
+      return arr[p].first - alpha;
     }
-    for (NodeId i : openable) {
-      auto& tl = tight[static_cast<std::size_t>(i)];
-      const Slot rb = rows.row_begin(i);
-      const double fi = instance.facility_cost[static_cast<std::size_t>(i)];
-      const double pi = paid[static_cast<std::size_t>(i)];
-      double rate = 0.0;
-      if (pi + 1e-12 < fi) {
-        // Payment phase: the rate cache makes the common case O(1). A
-        // valid stamp implies no freeze since the cached sum, so the list
-        // holds no frozen members and compaction would be a no-op.
-        if (rate_stamp[static_cast<std::size_t>(i)] != stamp) {
-          compact_tight(tl, rb);
-          cached_rate[static_cast<std::size_t>(i)] =
-              tight_rate(tl, rb, rows, weight);
-          rate_stamp[static_cast<std::size_t>(i)] = stamp;
-        }
-        rate = cached_rate[static_cast<std::size_t>(i)];
-      } else {
-        // SPAN phase: γ moves every round, so this walk cannot be cached.
-        compact_tight(tl, rb);
-      }
-      delta = std::min(
-          delta, facility_event_delta(fi, pi, rate, tl, rb, rows, gamma,
-                                      weight, beta_rate, gamma_rate,
-                                      options.span_threshold, pending));
-    }
-    if (delta == kInfCost) delta = 0.0;  // nothing to wait for
-    return std::max(delta, 0.0);
-  };
+    return kInfCost;
+  }
 
-  // ---- Mode set-up -------------------------------------------------------
-  if (event) {
-    events.resize(un);
-    tracked.reserve(openable.size() + 1);
-    for (NodeId i = 0; i < n; ++i) {
-      if (open[static_cast<std::size_t>(i)] ||
+ private:
+  struct EventList {
+    std::vector<std::pair<double, Slot>> byc;
+    std::size_t tight_ptr = 0;
+    std::size_t delta_ptr = 0;
+  };
+  std::vector<EventList> lists_;
+  std::priority_queue<std::pair<double, NodeId>,
+                      std::vector<std::pair<double, NodeId>>, std::greater<>>
+      heap_;
+  std::vector<Slot> newly_;
+};
+
+// The active-set dual growth, templated over the cost-row view. Semantics
+// (and bit-for-bit arithmetic) match the dense oracle in
+// tests/confl_oracle.h; the data structures differ:
+//
+//   * Every unfrozen client has the same α (all grow by the same delta from
+//     0), so one scalar replaces the per-client vector, and "client j is
+//     tight with facility i" is the monotone predicate α + 1e-12 ≥ c_ij.
+//   * `active_` / `openable_` are compacted id lists, so finished clients
+//     and opened facilities cost nothing in later rounds; `bidding_` lists
+//     the openable facilities with tight clients, the only ones a round's
+//     payments, bids, openings and event candidates can touch.
+//   * Tight pairs arrive as events from a scheduler (FixedStepScheduler or
+//     EventScheduler) into the TightStore, which holds each pair's γ; β is
+//     kept only in aggregate (`paid_` holds Σ_j β_ij), since no step reads
+//     an individual β_ij. No per-round state is sized by the number of
+//     materialized pairs.
+//   * Freezing onto open facilities uses an incrementally maintained
+//     cheapest-open-facility cost per client (`bound_`), updated on each
+//     opening. Which facility attains it is never needed: Phase 2
+//     re-assigns every client from scratch.
+//
+// Payments walk tight entries in ascending (facility, client) order, which
+// keeps every floating-point accumulation in the oracle's order. Under
+// SparseRows every loop that walks a dense row walks the row's candidate
+// list instead, so a round costs O(materialized live pairs).
+//
+// One round is four named phases: grow (α advance + tight-event intake),
+// freeze_on_open, pay_and_bid, open_admins.
+template <typename Rows>
+class DualGrowth {
+ public:
+  DualGrowth(const ConflInstance& instance, const ConflOptions& options,
+             const util::RunBudget& budget, const Rows& rows)
+      : instance_(instance),
+        options_(options),
+        budget_(budget),
+        rows_(rows),
+        n_(instance.network->num_nodes()),
+        root_(instance.root),
+        frozen_(static_cast<std::size_t>(n_), 0),
+        open_(static_cast<std::size_t>(n_), 0),
+        paid_(static_cast<std::size_t>(n_), 0.0),
+        bound_(static_cast<std::size_t>(n_), kInfCost),
+        tight_(static_cast<std::size_t>(n_)),
+        max_rounds_(internal::derive_max_rounds(instance, options, rows)),
+        beta_rate_(options.beta_step / options.alpha_step),
+        gamma_rate_(options.gamma_step / options.alpha_step),
+        event_(options.growth == GrowthMode::kEventDriven),
+        fixed_(options.alpha_step) {
+    // The root is not a client (it holds everything already) and is the
+    // pre-opened facility.
+    frozen_[static_cast<std::size_t>(root_)] = 1;
+    open_[static_cast<std::size_t>(root_)] = 1;
+    active_.reserve(static_cast<std::size_t>(n_));
+    for (NodeId j = 0; j < n_; ++j) {
+      if (!frozen_[static_cast<std::size_t>(j)]) active_.push_back(j);
+    }
+    num_active_ = active_.size();
+    for (NodeId i = 0; i < n_; ++i) {
+      if (!open_[static_cast<std::size_t>(i)] &&
           instance.facility_cost[static_cast<std::size_t>(i)] != kInfCost) {
+        openable_.push_back(i);
+      }
+    }
+    in_bidding_.assign(static_cast<std::size_t>(n_), 0);
+    // Seed the cheapest-open costs with the root's row (clients outside a
+    // sparse root row sit at +inf — they can only freeze once some facility
+    // with them in radius opens).
+    const Slot rb = rows.row_begin(root_);
+    const Slot re = rows.row_end(root_);
+    for (Slot s = rb; s < re; ++s) {
+      bound_[static_cast<std::size_t>(rows.col(s, rb))] = rows.cost(s);
+    }
+    bound_[static_cast<std::size_t>(root_)] = -kInfCost;
+  }
+
+  util::Result<ConflSolution> run() {
+    // A derived fixed-step cap clamped at INT_MAX means α cannot reach the
+    // root cost within int rounds; unbudgeted, such a run would grow (and
+    // size its scheduler) for ~2^31 rounds.
+    if (!event_ && options_.max_rounds == 0 && max_rounds_ == INT_MAX &&
+        budget_.is_unlimited()) {
+      return util::Status::invalid_input(
+          "alpha_step too small: fixed-step growth needs ≥ INT_MAX rounds; "
+          "set max_rounds or pass a RunBudget");
+    }
+    if (event_) {
+      if (util::Status s = set_up_events(); !s.ok()) return s;
+    } else {
+      fixed_.extend(std::max(0, std::min(16, max_rounds_)), openable_,
+                    active_, rows_, bound_);
+      admit_fixed(0);  // pairs tight at α = 0 (zero-cost pairs)
+    }
+
+    int round = 0;
+    for (; round < max_rounds_ && num_active_ > 0; ++round) {
+      // Cooperative cancellation point: one check and one work unit per
+      // growth round, before any dual is touched, so an aborted run leaves
+      // no half-applied round behind.
+      budget_.charge();
+      if (budget_.expired()) return budget_.status("confl dual growth");
+
+      const double delta = grow(round);
+      if (options_.growth_trace != nullptr) {
+        options_.growth_trace->push_back(delta);
+      }
+      bool froze = freeze_on_open();
+      if (delta > 0) pay_and_bid(delta);
+      const bool opened = open_admins(delta);
+      froze = froze || opened;
+
+      // Compact the client and facility lists so later rounds only touch
+      // live entries.
+      if (froze) {
+        ++stamp_;  // frozen members invalidate every cached payment rate
+        std::size_t out = 0;
+        for (NodeId j : active_) {
+          if (!frozen_[static_cast<std::size_t>(j)]) active_[out++] = j;
+        }
+        active_.resize(out);
+      }
+      if (opened) {
+        std::size_t out = 0;
+        for (NodeId i : openable_) {
+          if (!open_[static_cast<std::size_t>(i)]) openable_[out++] = i;
+        }
+        openable_.resize(out);
+        out = 0;
+        for (NodeId i : bidding_) {
+          if (open_[static_cast<std::size_t>(i)]) {
+            in_bidding_[static_cast<std::size_t>(i)] = 0;
+          } else {
+            bidding_[out++] = i;
+          }
+        }
+        bidding_.resize(out);
+      }
+    }
+    if (num_active_ > 0) {
+      return util::Status::resource_exhausted(
+          "dual growth did not converge within the round budget");
+    }
+
+    ConflSolution solution;
+    solution.rounds = round;
+    if (util::Status s = internal::finish_solution(instance_, budget_,
+                                                   admins_, rows_, solution);
+        !s.ok()) {
+      return s;
+    }
+    return solution;
+  }
+
+ private:
+  double weight(NodeId j) const {
+    return instance_.client_weight.empty()
+               ? 1.0
+               : instance_.client_weight[static_cast<std::size_t>(j)];
+  }
+  double facility_cost(NodeId i) const {
+    return instance_.facility_cost[static_cast<std::size_t>(i)];
+  }
+
+  util::Status set_up_events() {
+    // Facilities that take part in tightness events: every openable one
+    // plus everything pre-opened (the root) — a constant set, since only
+    // openable facilities ever open.
+    std::vector<NodeId> tracked;
+    tracked.reserve(openable_.size() + 1);
+    for (NodeId i = 0; i < n_; ++i) {
+      if (open_[static_cast<std::size_t>(i)] || facility_cost(i) != kInfCost) {
         tracked.push_back(i);
       }
     }
-    // Building the sorted pair arrays is the one O(pairs log n) step; rows
-    // are independent, so build them in parallel.
-    util::parallel_for(
-        tracked.size(),
-        [&](std::size_t t) {
-          const NodeId i = tracked[t];
-          auto& arr = events[static_cast<std::size_t>(i)].byc;
-          const Slot rb = rows.row_begin(i);
-          const Slot re = rows.row_end(i);
-          arr.reserve(static_cast<std::size_t>(re - rb));
-          for (Slot s = rb; s < re; ++s) {
-            const double cij = rows.cost(s);
-            if (cij != kInfCost) arr.emplace_back(cij, s);
-          }
-          std::sort(arr.begin(), arr.end());
-        },
-        options.threads, budget);
-    if (budget.expired()) return budget.status("event-list build");
-    advance_tight_lists();  // pairs tight at α = 0 (zero-cost pairs)
-    // Seed the event heap with every facility's first pair; the first
-    // query's pop-validation advances past the already-tight ones.
-    for (NodeId i : tracked) {
-      const auto& arr = events[static_cast<std::size_t>(i)].byc;
-      if (!arr.empty()) tight_heap.emplace(arr.front().first, i);
+    if (util::Status s =
+            events_.build(tracked, static_cast<std::size_t>(n_), rows_,
+                          options_.threads, budget_);
+        !s.ok()) {
+      return s;
     }
-  } else {
-    extend_horizon(std::max(0, std::min(16, max_rounds)));
-    process_bucket(0);  // pairs tight at α = 0 (zero-cost pairs)
+    cached_rate_.assign(static_cast<std::size_t>(n_), 0.0);
+    rate_stamp_.assign(static_cast<std::size_t>(n_), 0);
+    admit_events();  // pairs tight at α = 0 (zero-cost pairs)
+    return util::Status();
   }
 
-  ConflSolution solution;
-  solution.assignment.assign(un, kInvalidNode);
-  solution.assignment[static_cast<std::size_t>(root)] = root;
+  void admit_events() {
+    events_.admit(alpha_, openable_, frozen_, rows_, tight_,
+                  [this](NodeId i) { note_admitted(i); });
+    merge_joined();
+  }
 
-  std::vector<NodeId> admins;
+  void admit_fixed(int k) {
+    fixed_.admit(k, open_, frozen_, rows_, tight_,
+                 [this](NodeId i) { note_admitted(i); });
+    merge_joined();
+  }
 
-  int round = 0;
-  for (; round < max_rounds && num_active > 0; ++round) {
-    // Cooperative cancellation point: one check and one work unit per
-    // growth round, before any dual is touched, so an aborted run leaves
-    // no half-applied round behind.
-    budget.charge();
-    if (budget.expired()) return budget.status("confl dual growth");
+  // Facility i's tight list grew: it joins `bidding_` if absent, and in
+  // event mode its cached payment rate is stale.
+  void note_admitted(NodeId i) {
+    if (event_) rate_stamp_[static_cast<std::size_t>(i)] = 0;
+    if (!in_bidding_[static_cast<std::size_t>(i)]) {
+      in_bidding_[static_cast<std::size_t>(i)] = 1;
+      joined_.push_back(i);
+    }
+  }
 
-    // 1. Grow connection bids (paper line 18) — by the fixed unit, or
-    // exactly up to the next event — and ingest the pairs that become
-    // tight at the new α.
-    double delta;
-    if (event) {
-      delta = next_event_delta();
+  // Merges the facilities that joined during one admit (ascending, as both
+  // schedulers admit in facility order) into `bidding_`.
+  void merge_joined() {
+    if (joined_.empty()) return;
+    const auto mid = static_cast<std::ptrdiff_t>(bidding_.size());
+    bidding_.insert(bidding_.end(), joined_.begin(), joined_.end());
+    std::inplace_merge(bidding_.begin(), bidding_.begin() + mid,
+                       bidding_.end());
+    joined_.clear();
+  }
+
+  // Phase 1 (paper line 18): grow connection bids by the fixed unit, or
+  // exactly up to the next event, and admit the pairs that become tight at
+  // the new α. Returns the time advance δ.
+  double grow(int round) {
+    if (event_) {
+      const double delta = next_event_delta();
       if (delta > 0) {
-        alpha += delta;
-        advance_tight_lists();
+        alpha_ += delta;
+        admit_events();
       }
-    } else {
-      delta = options.alpha_step;
-      const int k = round + 1;
-      if (k > horizon) {
-        extend_horizon(std::min(std::max(2 * horizon, k), max_rounds));
-      }
-      alpha = a_seq[static_cast<std::size_t>(k)];
-      process_bucket(k);
+      return delta;
     }
-    if (options.growth_trace != nullptr) {
-      options.growth_trace->push_back(delta);
+    const int k = round + 1;
+    if (k > fixed_.horizon()) {
+      // Doubled in 64 bits: the horizon may approach INT_MAX.
+      const long long target = std::min<long long>(
+          std::max<long long>(2LL * fixed_.horizon(), k), max_rounds_);
+      fixed_.extend(static_cast<int>(target), openable_, active_, rows_,
+                    bound_);
     }
+    alpha_ = fixed_.alpha(k);
+    admit_fixed(k);
+    return options_.alpha_step;
+  }
 
-    // 2. Tight with an already-open facility → TIGHT request accepted,
-    // client freezes (paper lines 21–26) onto its cheapest open facility.
+  // Phase 2 (lines 21–26): a client tight with an already-open facility
+  // has its TIGHT request accepted and freezes onto its cheapest open
+  // facility. Returns whether any client froze.
+  bool freeze_on_open() {
     bool froze = false;
-    for (NodeId j : active) {
-      if (frozen[static_cast<std::size_t>(j)]) continue;
-      if (alpha + 1e-12 >= best_open_c[static_cast<std::size_t>(j)]) {
-        frozen[static_cast<std::size_t>(j)] = 1;
-        connect_to[static_cast<std::size_t>(j)] =
-            best_open_i[static_cast<std::size_t>(j)];
-        --num_active;
+    for (NodeId j : active_) {
+      if (alpha_ + 1e-12 >= bound_[static_cast<std::size_t>(j)]) {
+        freeze(j);
         froze = true;
       }
     }
+    return froze;
+  }
 
-    // 3. Payments and relay bids toward unopened facilities (lines 19–20):
-    // tight clients pay β until f_i is covered, then raise γ. Ascending
-    // (facility, client) order — the reference accumulation order.
-    if (delta > 0) {
-      for (NodeId i : openable) {
-        auto& tl = tight[static_cast<std::size_t>(i)];
-        if (tl.empty()) continue;
-        const Slot rb = rows.row_begin(i);
-        const double fi =
-            instance.facility_cost[static_cast<std::size_t>(i)];
-        double& pi = paid[static_cast<std::size_t>(i)];
-        std::size_t out = 0;
-        for (Slot s : tl) {
-          const NodeId j = rows.col(s, rb);
-          if (frozen[static_cast<std::size_t>(j)]) continue;
-          tl[out++] = s;
-          if (pi + 1e-12 < fi) {
-            const double pay =
-                std::min(weight(j) * beta_rate * delta, fi - pi);
-            pi += pay;
-          } else {
-            // Demand-weighted clients raise relay bids faster, pulling
-            // facilities toward demand hot-spots.
-            gamma[s] += weight(j) * gamma_rate * delta;
-          }
-        }
-        tl.resize(out);
-      }
-    }
+  void freeze(NodeId j) {
+    frozen_[static_cast<std::size_t>(j)] = 1;
+    bound_[static_cast<std::size_t>(j)] = -kInfCost;
+    --num_active_;
+  }
 
-    // 4. Facilities with the facility cost covered and ≥ M SPAN requests
-    // become ADMIN (lines 27–44). SPANs from frozen clients are retracted
-    // (a FREEZE response stops their bidding), which prevents two adjacent
-    // facilities from opening for the same client set. Every SPAN holder is
-    // tight (γ only grows for tight clients; a zero-cost pair is tight from
-    // round 0), so counting within the tight list matches the reference's
-    // all-clients scan.
-    bool opened = false;
-    for (NodeId i : openable) {
-      const double fi = instance.facility_cost[static_cast<std::size_t>(i)];
-      if (paid[static_cast<std::size_t>(i)] + 1e-12 < fi) continue;
-      auto& tl = tight[static_cast<std::size_t>(i)];
-      const Slot rb = rows.row_begin(i);
+  // Phase 3 (lines 19–20): tight clients pay β toward each unopened
+  // facility until f_i is covered, then raise γ, in ascending (facility,
+  // client) order — the oracle's accumulation order. Facilities left with
+  // no tight client leave `bidding_`. Collects into `span_candidates_` the
+  // facilities that may open this round: f_i covered and an upper bound on
+  // the SPAN count ≥ M — exact for clients that raised γ; a client that
+  // paid β this round has γ = 0 and counts as a possible SPAN.
+  void pay_and_bid(double delta) {
+    span_candidates_.clear();
+    std::size_t kept = 0;
+    for (NodeId i : bidding_) {
+      TightList& tl = tight_[i];
+      const Slot rb = rows_.row_begin(i);
+      const double fi = facility_cost(i);
+      double& pi = paid_[static_cast<std::size_t>(i)];
       int spans = 0;
       std::size_t out = 0;
-      for (Slot s : tl) {
-        if (frozen[static_cast<std::size_t>(rows.col(s, rb))]) continue;
-        tl[out++] = s;
-        if (gamma[s] + 1e-12 >= rows.cost(s)) ++spans;
+      for (TightEntry e : tl) {
+        const NodeId j = rows_.col(e.slot, rb);
+        if (frozen_[static_cast<std::size_t>(j)]) continue;
+        if (pi + 1e-12 < fi) {
+          const double pay = std::min(weight(j) * beta_rate_ * delta, fi - pi);
+          pi += pay;
+          ++spans;
+        } else {
+          // Demand-weighted clients raise relay bids faster, pulling
+          // facilities toward demand hot-spots.
+          e.gamma += weight(j) * gamma_rate_ * delta;
+          if (e.gamma + 1e-12 >= rows_.cost(e.slot)) ++spans;
+        }
+        tl[out++] = e;
       }
       tl.resize(out);
-      if (spans < options.span_threshold) continue;
+      if (tl.empty()) {
+        in_bidding_[static_cast<std::size_t>(i)] = 0;
+        continue;
+      }
+      bidding_[kept++] = i;
+      if (pi + 1e-12 >= fi && spans >= options_.span_threshold) {
+        span_candidates_.push_back(i);
+      }
+    }
+    bidding_.resize(kept);
+  }
 
-      open[static_cast<std::size_t>(i)] = 1;
+  // Phase 4 (lines 27–44): facilities with the facility cost covered and
+  // ≥ M SPAN requests become ADMIN, in ascending order. SPANs from frozen
+  // clients are retracted (a FREEZE response stops their bidding), which
+  // prevents two adjacent facilities from opening for the same client set.
+  // Every SPAN holder is tight (γ only grows for tight clients; a zero-cost
+  // pair is tight from round 0), so counting within the tight list matches
+  // the oracle's all-clients scan. After a growth step only pay_and_bid's
+  // candidates are walked: the others' SPAN bound is below M, and freezes
+  // since then only retract SPANs. Returns whether any facility opened.
+  bool open_admins(double delta) {
+    bool opened = false;
+    for (NodeId i : delta > 0 ? span_candidates_ : bidding_) {
+      if (paid_[static_cast<std::size_t>(i)] + 1e-12 < facility_cost(i)) {
+        continue;
+      }
+      TightList& tl = tight_[i];
+      const Slot rb = rows_.row_begin(i);
+      int spans = 0;
+      std::size_t out = 0;
+      for (const TightEntry& e : tl) {
+        if (frozen_[static_cast<std::size_t>(rows_.col(e.slot, rb))]) {
+          continue;
+        }
+        tl[out++] = e;
+        if (e.gamma + 1e-12 >= rows_.cost(e.slot)) ++spans;
+      }
+      tl.resize(out);
+      if (spans < options_.span_threshold) continue;
+
+      open_[static_cast<std::size_t>(i)] = 1;
       opened = true;
-      admins.push_back(i);
-      // Fold the new facility into every remaining client's cheapest-open
-      // tracking, then freeze everyone tight with the new ADMIN. (A client
-      // with β_ij > 0 is necessarily tight, so the reference's
-      // "tight or contributed" freeze set is exactly the tight list.)
-      // Dense walks the active-client list against the facility's row; the
-      // sparse fold walks the row's candidate list instead — out-of-row
-      // pairs cost +inf and can never beat a finite best, and a client
-      // only ever freezes at a finite best, so the folds agree on every
-      // freeze decision.
-      if constexpr (Rows::kDense) {
-        const double* row = rows.c + rb;
-        for (NodeId j : active) {
-          if (frozen[static_cast<std::size_t>(j)]) continue;
-          const double cij = row[j];
-          if (cij < best_open_c[static_cast<std::size_t>(j)] ||
-              (cij == best_open_c[static_cast<std::size_t>(j)] &&
-               i < best_open_i[static_cast<std::size_t>(j)])) {
-            best_open_c[static_cast<std::size_t>(j)] = cij;
-            best_open_i[static_cast<std::size_t>(j)] = i;
-          }
+      admins_.push_back(i);
+      fold_open_facility(i, rb);
+      // Freeze everyone tight with the new ADMIN. (A client with β_ij > 0
+      // is necessarily tight, so the oracle's "tight or contributed" freeze
+      // set is exactly the tight list.)
+      for (const TightEntry& e : tl) {
+        const NodeId j = rows_.col(e.slot, rb);
+        if (!frozen_[static_cast<std::size_t>(j)]) freeze(j);
+      }
+      TightList().swap(tl);
+    }
+    return opened;
+  }
+
+  // Folds the newly opened facility i into every unfrozen client's
+  // cheapest-open cost (a frozen client's −∞ bound never drops). Dense
+  // walks the active-client list against the facility's row; the sparse
+  // fold walks the row's candidate list instead — out-of-row pairs cost
+  // +inf and can never lower a bound.
+  void fold_open_facility(NodeId i, Slot rb) {
+    if constexpr (Rows::kDense) {
+      const double* row = rows_.c + rb;
+      for (NodeId j : active_) {
+        double& b = bound_[static_cast<std::size_t>(j)];
+        b = std::min(b, row[j]);
+      }
+    } else {
+      const Slot re = rows_.row_end(i);
+      for (Slot s = rb; s < re; ++s) {
+        double& b = bound_[static_cast<std::size_t>(rows_.col(s, rb))];
+        b = std::min(b, rows_.cost(s));
+      }
+    }
+  }
+
+  // Smallest time advance to the next event (event-driven mode): a pair
+  // turning tight, a facility's payments completing, or its M-th SPAN.
+  // Returns 0 when an event is already due (process without growing).
+  // Candidates and FP expressions are the oracle's (via
+  // facility_event_delta); min() over them is order-insensitive, so the
+  // heap-ordered tightness candidate gives the same value as a full scan.
+  //
+  // The per-facility β payment rate (Σ weights over its tight list) is
+  // cached with stamp invalidation: any freeze anywhere bumps `stamp_`
+  // (frozen members must be dropped before summing), and an admit zeroes
+  // the facility's stamp. A hit skips the facility's O(|tight|)
+  // compact-and-sum; the cached value is bitwise equal to a fresh re-sum
+  // because a valid stamp means the list is unchanged since it was taken.
+  double next_event_delta() {
+    double delta = events_.next_tightness(alpha_, frozen_, rows_);
+    const auto weight_fn = [this](NodeId j) { return weight(j); };
+    for (NodeId i : bidding_) {
+      TightList& tl = tight_[i];
+      const Slot rb = rows_.row_begin(i);
+      const double fi = facility_cost(i);
+      const double pi = paid_[static_cast<std::size_t>(i)];
+      double rate = 0.0;
+      if (pi + 1e-12 < fi) {
+        if (rate_stamp_[static_cast<std::size_t>(i)] != stamp_) {
+          drop_frozen(tl, rb, rows_, frozen_);
+          cached_rate_[static_cast<std::size_t>(i)] =
+              internal::tight_rate(tl, rb, rows_, weight_fn);
+          rate_stamp_[static_cast<std::size_t>(i)] = stamp_;
         }
+        rate = cached_rate_[static_cast<std::size_t>(i)];
       } else {
-        const Slot re = rows.row_end(i);
-        for (Slot s = rb; s < re; ++s) {
-          const auto j = static_cast<std::size_t>(rows.col(s, rb));
-          if (frozen[j]) continue;
-          const double cij = rows.cost(s);
-          if (cij < best_open_c[j] ||
-              (cij == best_open_c[j] && i < best_open_i[j])) {
-            best_open_c[j] = cij;
-            best_open_i[j] = i;
-          }
-        }
+        // SPAN phase: γ moves every round, so this walk cannot be cached.
+        drop_frozen(tl, rb, rows_, frozen_);
       }
-      for (Slot s : tl) {
-        const NodeId j = rows.col(s, rb);
-        if (frozen[static_cast<std::size_t>(j)]) continue;
-        frozen[static_cast<std::size_t>(j)] = 1;
-        connect_to[static_cast<std::size_t>(j)] = i;
-        --num_active;
-      }
-      froze = true;
-      tl.clear();
-      if (!event) far[static_cast<std::size_t>(i)].clear();
+      delta = std::min(
+          delta, internal::facility_event_delta(
+                     fi, pi, rate, tl, rb, rows_, weight_fn, beta_rate_,
+                     gamma_rate_, options_.span_threshold, pending_));
     }
-
-    // Compact the active/openable lists so later rounds only touch live
-    // entries.
-    if (froze) {
-      ++stamp;  // frozen members invalidate every cached payment rate
-      std::size_t out = 0;
-      for (NodeId j : active) {
-        if (!frozen[static_cast<std::size_t>(j)]) active[out++] = j;
-      }
-      active.resize(out);
-    }
-    if (opened) {
-      std::size_t out = 0;
-      for (NodeId i : openable) {
-        if (!open[static_cast<std::size_t>(i)]) openable[out++] = i;
-      }
-      openable.resize(out);
-    }
-  }
-  solution.rounds = round;
-  if (num_active > 0) {
-    return util::Status::resource_exhausted(
-        "dual growth did not converge within the round budget");
+    if (delta == kInfCost) delta = 0.0;  // nothing to wait for
+    return std::max(delta, 0.0);
   }
 
-  if (util::Status s =
-          finish_solution(instance, budget, admins, rows, solution);
-      !s.ok()) {
-    return s;
-  }
-  return solution;
-}
+  const ConflInstance& instance_;
+  const ConflOptions& options_;
+  const util::RunBudget& budget_;
+  const Rows rows_;
+  const int n_;
+  const NodeId root_;
+
+  // Client and facility state.
+  std::vector<char> frozen_;
+  std::vector<char> open_;
+  std::vector<double> paid_;             // Σ_j β_ij per facility
+  std::vector<NodeId> active_;           // unfrozen clients, ascending
+  std::size_t num_active_ = 0;
+  std::vector<NodeId> openable_;         // unopened facilities, ascending
+  // Openable facilities that may have tight clients, ascending (a list
+  // emptied by a freeze is dropped at the next payment walk).
+  std::vector<NodeId> bidding_;
+  std::vector<char> in_bidding_;
+  std::vector<NodeId> joined_;           // admit scratch
+  std::vector<NodeId> span_candidates_;  // pay_and_bid → open_admins
+  // Per client: the cost of its cheapest open facility while unfrozen,
+  // −∞ once frozen. A pair with c_ij ≥ bound_[j] can never pay, bid or
+  // SPAN (the dead-pair lemma, DESIGN.md §2): bound_ only decreases, and
+  // freeze_on_open freezes j in the round the pair would turn tight.
+  std::vector<double> bound_;
+  std::vector<NodeId> admins_;
+  TightStore tight_;
+  double alpha_ = 0.0;  // the shared α of every unfrozen client
+
+  const int max_rounds_;
+  const double beta_rate_;
+  const double gamma_rate_;
+  const bool event_;
+
+  FixedStepScheduler fixed_;
+  EventScheduler events_;
+  std::vector<double> cached_rate_;
+  std::vector<std::uint64_t> rate_stamp_;
+  std::uint64_t stamp_ = 1;
+  std::vector<double> pending_;
+};
 
 }  // namespace
 
@@ -892,241 +860,15 @@ util::Result<ConflSolution> try_solve_confl(const ConflInstance& instance,
   if (util::Status s = validate_confl_instance(instance); !s.ok()) return s;
   if (util::Status s = validate_confl_options(options); !s.ok()) return s;
   if (instance.sparse()) {
-    return try_solve_confl_impl(instance, options, budget,
-                                SparseRows{&instance.sparse_cost});
+    return DualGrowth<SparseRows>(instance, options, budget,
+                                  SparseRows{&instance.sparse_cost})
+        .run();
   }
-  return try_solve_confl_impl(
-      instance, options, budget,
-      DenseRows{instance.assign_cost.data(),
-                static_cast<Slot>(instance.network->num_nodes())});
-}
-
-// The original dense engine: per-client α vector, per-round rescans of
-// every (facility, client) pair. Kept as the behavioural reference for
-// solve_confl — both must produce bit-identical solutions. Dense-only by
-// design: differential tests build the dense twin of a sparse instance.
-ConflSolution solve_confl_reference(const ConflInstance& instance,
-                                    const ConflOptions& options) {
-  validate(instance);
-  check_options(options);
-  FAIRCACHE_CHECK(!instance.sparse(),
-                  "solve_confl_reference requires dense assignment costs");
-
-  const int n = instance.network->num_nodes();
-  const NodeId root = instance.root;
-  const auto& c = instance.assign_cost;
-  const DenseRows rows{c.data(), static_cast<Slot>(n)};
-  auto cost = [&](NodeId i, NodeId j) {
-    return c(static_cast<std::size_t>(i), static_cast<std::size_t>(j));
-  };
-  auto weight = [&](NodeId j) {
-    return instance.client_weight.empty()
-               ? 1.0
-               : instance.client_weight[static_cast<std::size_t>(j)];
-  };
-
-  // Client state. The root is not a client (it holds everything already).
-  std::vector<char> frozen(static_cast<std::size_t>(n), 0);
-  std::vector<NodeId> connect_to(static_cast<std::size_t>(n), kInvalidNode);
-  frozen[static_cast<std::size_t>(root)] = 1;
-  connect_to[static_cast<std::size_t>(root)] = root;
-
-  // Facility state.
-  std::vector<char> open(static_cast<std::size_t>(n), 0);
-  open[static_cast<std::size_t>(root)] = 1;  // producer pre-opened
-  std::vector<double> paid(static_cast<std::size_t>(n), 0.0);
-
-  // Dual variables. α per client; β/γ per (facility, client).
-  std::vector<double> alpha(static_cast<std::size_t>(n), 0.0);
-  util::Matrix<double> beta(static_cast<std::size_t>(n),
-                            static_cast<std::size_t>(n), 0.0);
-  util::Matrix<double> gamma(static_cast<std::size_t>(n),
-                             static_cast<std::size_t>(n), 0.0);
-
-  auto openable = [&](NodeId i) {
-    return !open[static_cast<std::size_t>(i)] &&
-           instance.facility_cost[static_cast<std::size_t>(i)] != kInfCost;
-  };
-
-  const int max_rounds = derive_max_rounds(instance, options, rows);
-
-  // Dual growth rates per unit of α-time.
-  const double beta_rate = options.beta_step / options.alpha_step;
-  const double gamma_rate = options.gamma_step / options.alpha_step;
-
-  // Smallest time advance to the next event (event-driven mode). Returns 0
-  // when an event is already due (process without growing). The
-  // per-facility payment/SPAN arithmetic lives in facility_event_delta,
-  // shared with the active-set engine — the deltas must agree bit for bit.
-  std::vector<Slot> tight;
-  std::vector<double> pending;
-  auto next_event_delta = [&]() {
-    double delta = kInfCost;
-    for (NodeId j = 0; j < n; ++j) {
-      if (frozen[static_cast<std::size_t>(j)]) continue;
-      const double aj = alpha[static_cast<std::size_t>(j)];
-      for (NodeId i = 0; i < n; ++i) {
-        if (!open[static_cast<std::size_t>(i)] && !openable(i)) continue;
-        const double cij = cost(i, j);
-        if (cij == kInfCost) continue;
-        if (cij > aj) delta = std::min(delta, cij - aj);  // tightness
-      }
-    }
-    for (NodeId i = 0; i < n; ++i) {
-      if (!openable(i)) continue;
-      const double fi = instance.facility_cost[static_cast<std::size_t>(i)];
-      const Slot rb = rows.row_begin(i);
-      // Tight unfrozen clients of i, as pair slots.
-      tight.clear();
-      for (NodeId j = 0; j < n; ++j) {
-        if (frozen[static_cast<std::size_t>(j)]) continue;
-        if (alpha[static_cast<std::size_t>(j)] + 1e-12 >= cost(i, j)) {
-          tight.push_back(rb + j);
-        }
-      }
-      const double pi = paid[static_cast<std::size_t>(i)];
-      const double rate =
-          pi + 1e-12 < fi ? tight_rate(tight, rb, rows, weight) : 0.0;
-      delta = std::min(
-          delta, facility_event_delta(fi, pi, rate, tight, rb, rows,
-                                      gamma.data(), weight, beta_rate,
-                                      gamma_rate, options.span_threshold,
-                                      pending));
-    }
-    if (delta == kInfCost) delta = 0.0;  // nothing to wait for
-    return std::max(delta, 0.0);
-  };
-
-  ConflSolution solution;
-  solution.assignment.assign(static_cast<std::size_t>(n), kInvalidNode);
-  solution.assignment[static_cast<std::size_t>(root)] = root;
-
-  std::vector<NodeId> admins;
-
-  auto all_frozen = [&] {
-    return std::all_of(frozen.begin(), frozen.end(),
-                       [](char f) { return f != 0; });
-  };
-
-  // Freeze client j onto the cheapest open facility it is tight with.
-  auto try_freeze_on_open = [&](NodeId j) {
-    double best = kInfCost;
-    NodeId best_i = kInvalidNode;
-    for (NodeId i = 0; i < n; ++i) {
-      if (!open[static_cast<std::size_t>(i)]) continue;
-      const double cij = cost(i, j);
-      if (alpha[static_cast<std::size_t>(j)] + 1e-12 < cij) continue;
-      if (cij < best || (cij == best && i < best_i)) {
-        best = cij;
-        best_i = i;
-      }
-    }
-    if (best_i != kInvalidNode) {
-      frozen[static_cast<std::size_t>(j)] = 1;
-      connect_to[static_cast<std::size_t>(j)] = best_i;
-    }
-  };
-
-  int round = 0;
-  for (; round < max_rounds && !all_frozen(); ++round) {
-    // 1. Grow connection bids (paper line 18) — by the fixed unit, or
-    // exactly up to the next event.
-    const double delta = options.growth == GrowthMode::kEventDriven
-                             ? next_event_delta()
-                             : options.alpha_step;
-    if (options.growth_trace != nullptr) {
-      options.growth_trace->push_back(delta);
-    }
-    if (delta > 0) {
-      for (NodeId j = 0; j < n; ++j) {
-        if (!frozen[static_cast<std::size_t>(j)]) {
-          alpha[static_cast<std::size_t>(j)] += delta;
-        }
-      }
-    }
-
-    // 2. Tight with an already-open facility → TIGHT request accepted,
-    // client freezes (paper lines 21–26).
-    for (NodeId j = 0; j < n; ++j) {
-      if (!frozen[static_cast<std::size_t>(j)]) try_freeze_on_open(j);
-    }
-
-    // 3. Payments and relay bids toward unopened facilities (lines 19–20):
-    // tight clients pay β until f_i is covered, then raise γ.
-    if (delta > 0) {
-      for (NodeId i = 0; i < n; ++i) {
-        if (!openable(i)) continue;
-        const double fi =
-            instance.facility_cost[static_cast<std::size_t>(i)];
-        for (NodeId j = 0; j < n; ++j) {
-          if (frozen[static_cast<std::size_t>(j)]) continue;
-          if (alpha[static_cast<std::size_t>(j)] + 1e-12 < cost(i, j)) {
-            continue;  // not tight yet
-          }
-          if (paid[static_cast<std::size_t>(i)] + 1e-12 < fi) {
-            const double pay =
-                std::min(weight(j) * beta_rate * delta,
-                         fi - paid[static_cast<std::size_t>(i)]);
-            beta(static_cast<std::size_t>(i), static_cast<std::size_t>(j)) +=
-                pay;
-            paid[static_cast<std::size_t>(i)] += pay;
-          } else {
-            // Demand-weighted clients raise relay bids faster, pulling
-            // facilities toward demand hot-spots.
-            gamma(static_cast<std::size_t>(i),
-                  static_cast<std::size_t>(j)) +=
-                weight(j) * gamma_rate * delta;
-          }
-        }
-      }
-    }
-
-    // 4. Facilities with the facility cost covered and ≥ M SPAN requests
-    // become ADMIN (lines 27–44). SPANs from frozen clients are retracted
-    // (a FREEZE response stops their bidding), which prevents two adjacent
-    // facilities from opening for the same client set.
-    for (NodeId i = 0; i < n; ++i) {
-      if (!openable(i)) continue;
-      const double fi = instance.facility_cost[static_cast<std::size_t>(i)];
-      if (paid[static_cast<std::size_t>(i)] + 1e-12 < fi) continue;
-      int spans = 0;
-      for (NodeId j = 0; j < n; ++j) {
-        if (frozen[static_cast<std::size_t>(j)]) continue;
-        if (gamma(static_cast<std::size_t>(i),
-                  static_cast<std::size_t>(j)) +
-                1e-12 >=
-            cost(i, j)) {
-          ++spans;
-        }
-      }
-      if (spans < options.span_threshold) continue;
-
-      open[static_cast<std::size_t>(i)] = 1;
-      admins.push_back(i);
-      // Freeze every client tight with the new ADMIN, plus anyone who has
-      // contributed to it (β > 0) — they received a NADMIN response.
-      for (NodeId j = 0; j < n; ++j) {
-        if (frozen[static_cast<std::size_t>(j)]) continue;
-        const bool is_tight =
-            alpha[static_cast<std::size_t>(j)] + 1e-12 >= cost(i, j);
-        const bool contributed =
-            beta(static_cast<std::size_t>(i), static_cast<std::size_t>(j)) >
-            0.0;
-        if (is_tight || contributed) {
-          frozen[static_cast<std::size_t>(j)] = 1;
-          connect_to[static_cast<std::size_t>(j)] = i;
-        }
-      }
-    }
-  }
-  solution.rounds = round;
-  FAIRCACHE_CHECK(all_frozen(),
-                  "dual growth did not converge within the round budget");
-
-  check_status(finish_solution(instance, util::RunBudget(), admins, rows,
-                               solution),
-               "finish_solution(...).ok()");
-  return solution;
+  return DualGrowth<DenseRows>(
+             instance, options, budget,
+             DenseRows{instance.assign_cost.data(),
+                       static_cast<Slot>(instance.network->num_nodes())})
+      .run();
 }
 
 namespace {

@@ -48,7 +48,10 @@ struct ConflInstance {
   // Sparse alternative to assign_cost: per-facility candidate-client rows
   // (metrics::SparseContention); pairs absent from a row are implicitly
   // +inf. The solver iterates candidate lists instead of dense rows, so
-  // memory and per-round work scale with the materialized pairs. With
+  // the store and each horizon scan scale with the materialized pairs,
+  // while the solver's own scratch (tight lists with their γ, tight-event
+  // buckets) scales only with the pairs that turn tight while they can
+  // still matter — c_ij below the client's cheapest open facility. With
   // every reachable pair materialized (radius ≥ diameter) the solve is
   // bit-identical to the dense engine on connected instances; the root's
   // row must always be untruncated (SparseContentionOptions::full_row).
@@ -82,6 +85,9 @@ struct ConflOptions {
   // Dual growth step sizes (the paper's U_α, U_β, U_γ). alpha_step is the
   // amount α grows per round; beta/gamma are growth per round once active.
   // In event-driven mode only the *ratios* U_β/U_α and U_γ/U_α matter.
+  // A fixed-step alpha_step so small that α would need ≥ INT_MAX rounds to
+  // reach the root cost is rejected as kInvalidInput unless max_rounds or
+  // a util::RunBudget bounds the run.
   double alpha_step = 1.0;
   double beta_step = 1.0;
   // Relay bids grow faster than connection bids by default: U_γ = 4 U_α
@@ -91,7 +97,8 @@ struct ConflOptions {
   double gamma_step = 4.0;
   // SPAN requests required before a facility opens (the paper's M).
   int span_threshold = 3;
-  // Safety valve on growth rounds; 0 derives it from max assignment cost.
+  // Safety valve on growth rounds (≥ 0); 0 derives it from max assignment
+  // cost.
   int max_rounds = 0;
   // Worker threads for the parallelisable set-up work (event-list
   // builds). 0 = the util::parallel_threads() default, 1 = fully serial.
@@ -104,7 +111,7 @@ struct ConflOptions {
   steiner::Engine steiner_engine = steiner::Engine::kVoronoi;
   // Test/diagnostic hook: when non-null, every growth round's time advance
   // (the per-round delta; alpha_step in fixed-step mode) is appended. Used
-  // to pin the active-set and reference growth loops to identical event
+  // to pin the engine and the test oracle's growth loops to identical event
   // sequences. Not part of the solver contract.
   std::vector<double>* growth_trace = nullptr;
 };
@@ -129,9 +136,11 @@ struct ConflSolution {
 //
 // The implementation is the active-set engine: it tracks the compacted
 // lists of unfrozen clients and openable facilities plus per-facility
-// tight-client lists, so each growth round costs O(active pairs) instead
-// of O(n²). Its output is bit-identical to solve_confl_reference below on
-// every instance (see tests/perf_core_test.cpp).
+// tight-client lists (each entry holding its relay bid γ), so each growth
+// round costs O(live tight pairs) instead of O(n²), and the growth scratch
+// scales with the pairs that become tight, not with the materialized
+// pairs. Its output is bit-identical to the dense test oracle
+// (tests/confl_oracle.h) on every instance.
 ConflSolution solve_confl(const ConflInstance& instance,
                           const ConflOptions& options = {});
 
@@ -152,12 +161,6 @@ util::Status validate_confl_options(const ConflOptions& options);
 util::Result<ConflSolution> try_solve_confl(
     const ConflInstance& instance, const ConflOptions& options = {},
     const util::RunBudget& budget = {});
-
-// Reference implementation: the original dense engine that rescans every
-// (facility, client) pair each round. Kept for differential testing of the
-// active-set solver; prefer solve_confl everywhere else.
-ConflSolution solve_confl_reference(const ConflInstance& instance,
-                                    const ConflOptions& options = {});
 
 // Objective value of an arbitrary (facility set, tree) pair under the
 // instance costs, assigning every client to its cheapest open facility.

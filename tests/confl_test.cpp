@@ -11,6 +11,7 @@
 #include "metrics/cache_state.h"
 #include "metrics/contention.h"
 #include "metrics/fairness.h"
+#include "confl_oracle.h"
 #include "util/rng.h"
 
 namespace faircache::confl {
@@ -150,7 +151,8 @@ TEST(ConflTest, GrowthTraceIdenticalAcrossEnginesInBothModes) {
     options.growth_trace = &fast_trace;
     const ConflSolution fast = solve_confl(instance, options);
     options.growth_trace = &ref_trace;
-    const ConflSolution ref = solve_confl_reference(instance, options);
+    const ConflSolution ref =
+        test_oracle::solve_confl_reference(instance, options);
     EXPECT_EQ(fast.rounds, ref.rounds);
     EXPECT_FALSE(fast_trace.empty());
     ASSERT_EQ(fast_trace.size(), ref_trace.size());

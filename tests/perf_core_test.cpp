@@ -8,14 +8,17 @@
 
 #include <atomic>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <mutex>
 #include <numeric>
 #include <set>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "confl/confl.h"
+#include "confl_oracle.h"
 #include "core/approx.h"
 #include "core/instance_builder.h"
 #include "graph/generators.h"
@@ -276,9 +279,173 @@ TEST(SolveConflEquivalenceTest, ActiveSetMatchesReferenceOnRandomInstances) {
     SCOPED_TRACE("trial " + std::to_string(trial));
     const confl::ConflSolution fast = confl::solve_confl(instance, options);
     const confl::ConflSolution ref =
-        confl::solve_confl_reference(instance, options);
+        test_oracle::solve_confl_reference(instance, options);
     expect_identical_solutions(fast, ref);
   }
+}
+
+// ------------------------------------------ tight-event scheduler pins --
+
+// Dense twin of a sparse instance: every pair absent from a candidate row
+// becomes an explicit +inf entry, so the dense oracle can replay it.
+confl::ConflInstance dense_twin(const confl::ConflInstance& sparse) {
+  const metrics::SparseContention& s = sparse.sparse_cost;
+  const auto n = static_cast<std::size_t>(s.num_nodes);
+  confl::ConflInstance dense = sparse;
+  dense.sparse_cost = metrics::SparseContention{};
+  dense.assign_cost = util::Matrix<double>(n, n, kInf);
+  for (NodeId i = 0; i < s.num_nodes; ++i) {
+    for (std::int64_t t = s.row_begin(i); t < s.row_end(i); ++t) {
+      const NodeId j = metrics::SparseContention::col_of(
+          s.packed[static_cast<std::size_t>(t)]);
+      dense.assign_cost(static_cast<std::size_t>(i),
+                        static_cast<std::size_t>(j)) =
+          s.cost[static_cast<std::size_t>(t)];
+    }
+  }
+  return dense;
+}
+
+// Pairs (i, j) of openable facilities whose cost is at least the client's
+// cost to the root: dead from the first round, since the client freezes
+// onto the root no later than the round the pair would turn tight.
+std::int64_t dead_pairs_at_start(const confl::ConflInstance& dense) {
+  const auto n = static_cast<std::size_t>(dense.network->num_nodes());
+  const auto root = static_cast<std::size_t>(dense.root);
+  std::int64_t dead = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (i == root || dense.facility_cost[i] == kInf) continue;
+    for (std::size_t j = 0; j < n; ++j) {
+      const double c = dense.assign_cost(i, j);
+      if (c != kInf && c >= dense.assign_cost(root, j)) ++dead;
+    }
+  }
+  return dead;
+}
+
+// Pins the fixed-step scheduler (windowed horizon scans, dead-pair pruning,
+// γ held in the tight lists, SPAN counts from the payment walk) and the
+// event-driven one to the dense oracle on contention-made instances: a
+// 12×12 grid with a corner producer and a prefilled cache, so pair costs
+// spread over more than 64 rounds of α = 0.25 steps (≥ 3 horizon
+// extensions past the initial 16) and many pairs are dead from the start.
+// Dense rows and sparse radius-2 rows (replayed on their dense twin),
+// uniform and weighted clients (some with weight 0), M = 1..4. The snapped
+// variant puts every cost exactly on a tightness threshold, so the
+// window's upper edge and the first-tight-round search are hit exactly.
+TEST(SchedulerOracleTest, ContentionInstancesMatchOracleBitwise) {
+  const Graph g = graph::make_grid(12, 12);
+  core::FairCachingProblem problem;
+  problem.network = &g;
+  problem.producer = 0;
+  problem.num_chunks = 6;
+  problem.uniform_capacity = 5;
+  util::Rng rng(1207);
+  metrics::CacheState state(g.num_nodes(), 5, 0);
+  for (int step = 0; step < 260; ++step) {
+    const auto v = static_cast<NodeId>(
+        rng.bounded(static_cast<std::uint64_t>(g.num_nodes())));
+    const auto k = static_cast<metrics::ChunkId>(rng.bounded(5));
+    if (state.can_cache(v, k)) state.add(v, k);
+  }
+  std::vector<double> weights(static_cast<std::size_t>(g.num_nodes()));
+  for (auto& w : weights) {
+    w = rng.bernoulli(0.2) ? 0.0 : rng.uniform(0.25, 3.0);
+  }
+
+  core::InstanceOptions sparse_options;
+  sparse_options.contention_mode = core::ContentionMode::kSparse;
+  sparse_options.contention_radius = 2;
+  core::ChunkInstanceEngine sparse_engine(problem, sparse_options);
+
+  // Contention costs are sums of integer node weights; the jittered
+  // variant scales each pair by its own factor in [0.9, 1.1], so cost gaps
+  // below one α-step (and pairs just under the dead-pair bound) occur too.
+  // The snapped variant then moves each jittered cost c to α(k) + 1e-12
+  // with k = ⌊c/0.25⌋ and α(k) built by the scheduler's repeated addition:
+  // the pair turns tight exactly at round k, and at k = 16, 32, 64 its cost
+  // equals the reach of the horizon window ending there.
+  std::vector<double> alpha{0.0};
+  auto threshold = [&alpha](std::size_t k) {
+    while (alpha.size() <= k) alpha.push_back(alpha.back() + 0.25);
+    return alpha[k] + 1e-12;
+  };
+  enum class Rows { kDense, kJittered, kSnapped, kSparse };
+  int opened_runs = 0;
+  for (const Rows kind :
+       {Rows::kDense, Rows::kJittered, Rows::kSnapped, Rows::kSparse}) {
+    const bool sparse = kind == Rows::kSparse;
+    for (const bool weighted : {false, true}) {
+      confl::ConflInstance instance;
+      if (sparse) {
+        auto built = sparse_engine.build(state, /*chunk=*/5);
+        ASSERT_TRUE(built.ok());
+        instance = std::move(built).value();
+        ASSERT_TRUE(instance.sparse());
+      } else {
+        instance = core::build_chunk_instance(problem, state,
+                                              core::InstanceOptions{}, 5);
+      }
+      if (kind == Rows::kJittered || kind == Rows::kSnapped) {
+        util::Rng jitter(77);
+        for (std::size_t t = 0; t < instance.assign_cost.size(); ++t) {
+          instance.assign_cost.data()[t] *= jitter.uniform(0.9, 1.1);
+        }
+      }
+      if (kind == Rows::kSnapped) {
+        int on_horizon_edge = 0;
+        for (std::size_t t = 0; t < instance.assign_cost.size(); ++t) {
+          double& c = instance.assign_cost.data()[t];
+          if (c == kInf) continue;
+          const auto k = static_cast<std::size_t>(c / 0.25);
+          c = threshold(k);
+          if (k == 16 || k == 32 || k == 64) ++on_horizon_edge;
+        }
+        EXPECT_GT(on_horizon_edge, 10) << on_horizon_edge;
+      }
+      if (weighted) instance.client_weight = weights;
+      const confl::ConflInstance twin =
+          sparse ? dense_twin(instance) : instance;
+      // Radius-2 rows hold only short pairs, so their dead ones sit near
+      // the root; a dense row holds every far pair.
+      const std::int64_t dead = dead_pairs_at_start(twin);
+      EXPECT_GT(dead, sparse ? 20 : 4000) << dead;
+
+      for (int m = 1; m <= 4; ++m) {
+        for (const confl::GrowthMode mode :
+             {confl::GrowthMode::kFixedStep,
+              confl::GrowthMode::kEventDriven}) {
+          SCOPED_TRACE(std::string(sparse                   ? "sparse r2"
+                                   : kind == Rows::kDense   ? "dense"
+                                   : kind == Rows::kSnapped ? "snapped"
+                                                            : "jittered") +
+                       (weighted ? " weighted" : " uniform") + " M=" +
+                       std::to_string(m) +
+                       (mode == confl::GrowthMode::kFixedStep ? " fixed"
+                                                              : " event"));
+          confl::ConflOptions options;
+          options.growth = mode;
+          options.alpha_step = 0.25;
+          options.span_threshold = m;
+          std::vector<double> trace;
+          std::vector<double> oracle_trace;
+          options.growth_trace = &trace;
+          const confl::ConflSolution fast =
+              confl::solve_confl(instance, options);
+          options.growth_trace = &oracle_trace;
+          const confl::ConflSolution oracle =
+              test_oracle::solve_confl_reference(twin, options);
+          expect_identical_solutions(fast, oracle);
+          EXPECT_EQ(trace, oracle_trace);  // bitwise, round by round
+          if (mode == confl::GrowthMode::kFixedStep) {
+            EXPECT_GT(fast.rounds, 64);  // horizon 16 → 32 → 64 → 128
+          }
+          if (!fast.open_facilities.empty()) ++opened_runs;
+        }
+      }
+    }
+  }
+  EXPECT_GE(opened_runs, 24);  // the SPAN/open path is exercised
 }
 
 TEST(SolveConflEquivalenceTest, ThreadCountDoesNotChangeSolution) {
@@ -325,7 +492,7 @@ TEST(SolveConflEquivalenceTest, VoronoiEngineThreadInvariantAndMatchesRef) {
   const confl::ConflSolution eight = confl::solve_confl(instance, options);
   expect_identical_solutions(serial, eight);
   const confl::ConflSolution ref =
-      confl::solve_confl_reference(instance, options);
+      test_oracle::solve_confl_reference(instance, options);
   expect_identical_solutions(serial, ref);
 }
 

@@ -7,6 +7,7 @@
 
 #include <atomic>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "confl/confl.h"
@@ -271,6 +272,10 @@ TEST(TrySolveConflTest, BadOptionsAreTyped) {
   options.span_threshold = 0;
   EXPECT_EQ(confl::try_solve_confl(instance, options).code(),
             StatusCode::kInvalidInput);
+  options.span_threshold = 3;
+  options.max_rounds = -5;  // would run zero rounds and report no convergence
+  EXPECT_EQ(confl::try_solve_confl(instance, options).code(),
+            StatusCode::kInvalidInput);
 }
 
 TEST(TrySolveConflTest, ExpiredBudgetIsTypedNotThrown) {
@@ -283,6 +288,49 @@ TEST(TrySolveConflTest, ExpiredBudgetIsTypedNotThrown) {
       instance, {}, RunBudget::wall_clock(0.0));
   EXPECT_FALSE(result.ok());
   EXPECT_EQ(result.code(), StatusCode::kDeadlineExceeded);
+}
+
+// A tiny positive alpha_step passes validation but makes the derived round
+// cap (max cost / step ≈ 1e12) exceed int. The cap must clamp to INT_MAX
+// and the run must grow until the work-unit budget stops it, not overflow
+// into a negative cap that ends the growth before its first round.
+TEST(TrySolveConflTest, TinyAlphaStepStopsAtWorkBudgetTyped) {
+  const Graph g = graph::make_ring(4);
+  std::vector<double> edge_costs;
+  util::Matrix<double> assign;
+  const confl::ConflInstance instance = tiny_instance(g, edge_costs, assign);
+  confl::ConflOptions options;
+  options.alpha_step = 1e-12;
+  const RunBudget budget = RunBudget::work_units(5000);
+  const util::Result<confl::ConflSolution> result =
+      confl::try_solve_confl(instance, options, budget);
+  EXPECT_FALSE(result.ok());
+  EXPECT_EQ(result.code(), StatusCode::kResourceExhausted);
+  EXPECT_NE(result.status().message().find("work-unit budget"),
+            std::string::npos)
+      << result.status().message();
+  EXPECT_GT(budget.work_charged(), 5000u);  // one unit per growth round
+}
+
+// The same tiny step with neither a budget nor max_rounds would grow for
+// ~2^31 rounds (sizing the fixed-step scheduler by the horizon): it is
+// rejected up front. An explicit max_rounds bounds the run instead.
+TEST(TrySolveConflTest, TinyAlphaStepWithoutBudgetIsInvalidInput) {
+  const Graph g = graph::make_ring(4);
+  std::vector<double> edge_costs;
+  util::Matrix<double> assign;
+  const confl::ConflInstance instance = tiny_instance(g, edge_costs, assign);
+  confl::ConflOptions options;
+  options.alpha_step = 1e-12;
+  const util::Result<confl::ConflSolution> result =
+      confl::try_solve_confl(instance, options);
+  EXPECT_EQ(result.code(), StatusCode::kInvalidInput);
+  EXPECT_NE(result.status().message().find("alpha_step"), std::string::npos)
+      << result.status().message();
+
+  options.max_rounds = 100;
+  EXPECT_EQ(confl::try_solve_confl(instance, options).code(),
+            StatusCode::kResourceExhausted);  // did not converge in 100
 }
 
 TEST(TrySolveConflTest, CompletedRunMatchesThrowingEntryPoint) {
